@@ -117,67 +117,131 @@ def bundle_laplacian(u: ScalarField, conn: Connection, grid: TorusGrid) -> Scala
 # linear solves with the bundle Laplacian
 # ---------------------------------------------------------------------------
 
-def _symmetrized_apply(u: np.ndarray, conn: Connection, grid: TorusGrid) -> np.ndarray:
-    """e^{2v} (Delta_g + V) u = Delta_flat^+ u + e^{2v} V u, flat-self-adjoint."""
-    return flat_laplacian_raw(u, grid) + (grid.exp2v * conn.potential.values) * u
+PCG_TOL = 1e-13
+PCG_MAX_ITER = 6000
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative solve stopped before reaching its tolerance."""
+
+
+@dataclass(frozen=True)
+class PCGInfo:
+    """Why pcg stopped: "converged", "max_iter" or "negative_curvature"."""
+
+    reason: str
+    iterations: int
+    residual: float         # final ||r|| / ||b|| in the solve's inner product
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
+
+def pcg(apply, b: np.ndarray, precond=lambda z: z, project=lambda z: z,
+        inner=lambda a, c: np.vdot(a, c).real, tol: float = PCG_TOL,
+        max_iter: int = PCG_MAX_ITER) -> tuple[np.ndarray, PCGInfo]:
+    """Deflated preconditioned conjugate gradients (Saad, Iterative Methods
+    for Sparse Linear Systems, 2nd ed., section 9.2).
+
+    Solves apply(x) = b on the range of the orthogonal projection `project`,
+    which must commute with `apply`; `precond` approximates the inverse and
+    must be self-adjoint positive in the inner product `inner`.  Stops when
+    ||r|| <= tol ||b||, after max_iter steps, or on a direction with
+    <p, A p> <= 0, and returns the iterate reached so far.
+    """
+    b = project(b)
+    x = np.zeros_like(b)
+    bnorm = np.sqrt(inner(b, b))
+    if bnorm == 0.0:
+        return x, PCGInfo("converged", 0, 0.0)
+    r = b.copy()
+    z = project(precond(r))
+    p = z.copy()
+    rz = inner(r, z)
+    reason, it, rnorm = "max_iter", 0, bnorm
+    while it < max_iter:
+        Ap = project(apply(p))
+        pAp = inner(p, Ap)
+        if pAp <= 0.0:
+            reason = "negative_curvature"
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        it += 1
+        rr = inner(r, r)
+        rnorm = np.sqrt(rr)
+        if rnorm <= tol * bnorm:
+            reason = "converged"
+            break
+        z = project(precond(r))
+        rz_new = rr if z is r else inner(r, z)   # plain CG: z is r itself
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, PCGInfo(reason, it, float(rnorm / bnorm))
+
+
+def require_converged(info: PCGInfo, what: str) -> None:
+    if not info.converged:
+        raise ConvergenceError(f"{what} stopped on {info.reason} after {info.iterations}"
+                               f" iterations at relative residual {info.residual:.3e}")
+
+
+def tau1_deflation(kb: KernelBasis):
+    """Euclidean projection off tau1 for the flat-symmetrized solves."""
+    if kb.dim == 0:
+        return lambda z: z
+    t = kb.tau1.values / np.linalg.norm(kb.tau1.values)
+    return lambda z: z - np.vdot(t, z).real * t
+
+
+def _nyquist_free_inverse(z: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(Delta_flat + 1)^{-1} z with the Nyquist row and column zeroed."""
+    zh = np.fft.rfft2(z)
+    zh /= grid.k2 + 1.0
+    zh[grid.n // 2, :] = 0.0
+    zh[:, -1] = 0.0
+    return np.fft.irfft2(zh, s=z.shape)
+
+
+def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
+                      kb: KernelBasis, tol: float = PCG_TOL,
+                      max_iter: int = PCG_MAX_ITER) -> np.ndarray:
+    """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
+    complement: directly when V = 0, else by PCG preconditioned with the
+    exact inverse of (Delta_flat + 1); raises ConvergenceError short of tol.
+
+    See geometry.drop_nyquist: the spectral symbol has no stiffness on the
+    Nyquist modes, where a partly negative potential would be indefinite;
+    the apply and the preconditioner's symbol both drop those modes.
+    """
+    V = conn.potential.values
+    if not V.any():
+        return solve_flat_poisson_raw(b - b.mean(), grid)
+
+    # e^{2v} V is formed per apply: storing it for the solve raised the peak
+    # RSS of a 1024^2 Green solve by one field (8 MB)
+    def apply(p):
+        return drop_nyquist(flat_laplacian_raw(p, grid) + grid.exp2v * V * p, grid)
+
+    x, info = pcg(apply, drop_nyquist(b, grid),
+                  precond=lambda r: _nyquist_free_inverse(r, grid),
+                  project=tau1_deflation(kb), tol=tol, max_iter=max_iter)
+    require_converged(info, "bundle Poisson PCG")
+    return x
 
 
 def solve_bundle_poisson(rhs: ScalarField, conn: Connection, grid: TorusGrid,
-                         kb: KernelBasis, tol: float = 1e-13,
-                         max_iter: int = 4000) -> ScalarField:
+                         kb: KernelBasis, tol: float = PCG_TOL,
+                         max_iter: int = PCG_MAX_ITER) -> ScalarField:
     """Solve (Delta_g + V) u = rhs on the complement of the kernel.
 
     The caller must supply a right-hand side orthogonal to tau1 in L2(dv_g)
-    when the kernel is one-dimensional.  The system is symmetrized with the
-    flat measure and solved by conjugate gradients preconditioned with the
-    exact inverse of (Delta_flat + 1); a potential-free connection on any
-    conformal factor short-circuits to a direct spectral solve.
+    when the kernel is one-dimensional; see `solve_symmetrized`.
     """
-    b = grid.exp2v * rhs.values
-
-    if np.max(np.abs(conn.potential.values)) == 0.0:
-        b = b - b.mean()
-        return ScalarField(solve_flat_poisson_raw(b, grid))
-
-    if kb.dim == 1:
-        t = kb.tau1.values.copy()
-        t /= np.linalg.norm(t)
-    else:
-        t = None
-
-    # see geometry.drop_nyquist: the spectral symbol carries no stiffness on
-    # the Nyquist modes, so a partly negative potential would be indefinite
-    # there; the solve stays in the filtered subspace
-    def deflate(z):
-        z = drop_nyquist(z, grid)
-        if t is not None:
-            z = z - np.vdot(t, z).real * t
-        return z
-
-    def precond(z):
-        return np.fft.irfft2(np.fft.rfft2(z) / (grid.k2 + 1.0), s=z.shape)
-
-    b = deflate(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = deflate(precond(r))
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return ScalarField(x)
-    for _ in range(max_iter):
-        Ap = deflate(_symmetrized_apply(p, conn, grid))
-        alpha = rz / np.vdot(p, Ap).real
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            break
-        z = deflate(precond(r))
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    return ScalarField(x)
+    return ScalarField(solve_symmetrized(grid.exp2v * rhs.values, conn, grid, kb,
+                                         tol=tol, max_iter=max_iter))
 
 
 def poincare_constant(conn: Connection, grid: TorusGrid,
@@ -197,8 +261,6 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
                         seed: int = 0, tol: float = 1e-12,
                         max_iter: int = 500) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of Delta_g + V restricted to the kernel complement."""
-    from .geometry import drop_nyquist
-
     rng = np.random.default_rng(seed)
     x = ScalarField(drop_nyquist(rng.standard_normal((grid.n, grid.n)), grid))
     x = project_H1(x, kb, grid)

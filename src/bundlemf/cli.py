@@ -20,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bundle import EigensolveError, kernel_basis, make_connection
+from .bundle import ConvergenceError, EigensolveError, kernel_basis, make_connection
 from .functional import (
     ExponentOverflowError,
     ProblemSpec,
     SolverOptions,
     evaluate_J,
+    log_mass,
     minimize,
 )
 from .geometry import build_grid, integrate, l2_inner, laplacian, random_band_limited
@@ -67,8 +68,6 @@ class RunConfig:
     out: str = "out"
     tol: float | None = None
     max_iter: int = 50_000
-    precondition: bool = True
-    newton_polish: bool = True
     kmax: int = 64
     p: tuple[int, int] = (0, 0)
     alpha: float = 4.1 * np.pi
@@ -103,6 +102,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         cfg = RunConfig(**data)
     except TypeError as exc:
         raise UsageError(f"bad config: {exc}") from exc
+    for key in ("rho", "alpha", "delta", "tol"):
+        val = getattr(cfg, key)
+        if val is not None and not (isinstance(val, (int, float)) and np.isfinite(val)):
+            raise UsageError(f"{key} must be a finite number, got {val!r}")
     return cfg
 
 
@@ -120,9 +123,7 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
 
 
 def solver_options(cfg: RunConfig) -> SolverOptions:
-    return SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter,
-                         precondition=cfg.precondition,
-                         newton_polish=cfg.newton_polish)
+    return SolverOptions(tol=cfg.tol, max_iter=cfg.max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +292,7 @@ def cmd_reduce_check(cfg: RunConfig, outdir) -> dict:
         bundle_route = evaluate_J(u, spec)
         grad_energy = l2_inner(u, laplacian(u, spec.grid), spec.grid)
         mean_term = spec.rho / spec.grid.total_area * integrate(u, spec.grid)
-        shift = float(u.values.max())
-        log_mu = shift + float(np.log(np.sum(
-            spec.hweight.values * np.exp(u.values - shift) * spec.grid.area_element)))
+        log_mu, _, _ = log_mass(u.values, spec)
         classical_route = 0.5 * grad_energy + mean_term - spec.rho * log_mu
         worst = max(worst, abs(bundle_route - classical_route))
     return {"fields": 20, "max_discrepancy": worst, "rho": cfg.rho}
@@ -328,7 +327,8 @@ def dispatch(command: str, cfg: RunConfig) -> int:
                       "error", t0)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    except (ExponentOverflowError, SolvabilityError, EigensolveError) as exc:
+    except (ExponentOverflowError, SolvabilityError, EigensolveError,
+            ConvergenceError) as exc:
         write_summary(outdir, command, cfg, {"error": str(exc)}, "error", t0)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bundle import Connection, KernelBasis, bundle_energy, kernel_basis
+from .bundle import Connection, KernelBasis, bundle_energy, kernel_basis, pcg
 from .geometry import (
     ScalarField,
     TorusGrid,
@@ -30,6 +30,12 @@ from .geometry import (
 
 EXP_GUARD = 700.0
 RHO_CRITICAL = 8.0 * np.pi
+
+# line search and Newton polish of `minimize`
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 60
+NEWTON_TRIGGER = 1e-4       # projected residual below which Newton-CG takes over
 
 
 class ExponentOverflowError(FloatingPointError):
@@ -66,12 +72,6 @@ def make_problem(grid: TorusGrid, conn: Connection, hweight: ScalarField,
 class SolverOptions:
     tol: float | None = None          # None: 1e-10 * max(1, initial residual)
     max_iter: int = 50_000
-    precondition: bool = True
-    newton_polish: bool = True
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
-    newton_trigger: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _guard(u: np.ndarray):
         raise ExponentOverflowError(f"exponent overflow: max u = {m:.3g} > {EXP_GUARD:g}")
 
 
-def _log_mu(u: np.ndarray, spec: ProblemSpec) -> tuple[float, float, np.ndarray]:
+def log_mass(u: np.ndarray, spec: ProblemSpec) -> tuple[float, float, np.ndarray]:
     """Stable (log mu, shift, h e^{u - shift}) for mu = int h e^u dv_g."""
     shift = float(u.max())
     w = spec.hweight.values * np.exp(u - shift)
@@ -106,7 +106,7 @@ def evaluate_J(u: ScalarField, spec: ProblemSpec) -> float:
     g = spec.grid
     energy = bundle_energy(u, spec.conn, g)
     mean_term = spec.rho / g.total_area * float(np.sum(u.values * g.area_element))
-    log_mu, _, _ = _log_mu(u.values, spec)
+    log_mu, _, _ = log_mass(u.values, spec)
     return 0.5 * energy + mean_term - spec.rho * log_mu
 
 
@@ -114,7 +114,7 @@ def _raw_residual(u: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
     """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|), plus log mu."""
     g = spec.grid
     lap = flat_laplacian_raw(u, g) / g.exp2v + spec.conn.potential.values * u
-    log_mu, shift, w = _log_mu(u, spec)
+    log_mu, shift, w = log_mass(u, spec)
     density = w * np.exp(shift - log_mu)  # h e^u / mu, evaluated stably
     r = lap - spec.rho * (density - 1.0 / g.total_area)
     return r, log_mu
@@ -173,7 +173,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         # quadratic problem: the minimizer on the kernel complement is zero
         zero = ScalarField(np.zeros((g.n, g.n)))
         return MinimizeResult(u=zero, jvalue=evaluate_J(zero, spec),
-                              mu=float(np.exp(_log_mu(zero.values, spec)[0])),
+                              mu=float(np.exp(log_mass(zero.values, spec)[0])),
                               lambda1=0.0, residual=0.0, iterations=0, converged=True)
 
     def j_of(z: np.ndarray) -> float:
@@ -199,14 +199,11 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
     while not converged and it < opts.max_iter:
         it += 1
-        newton_step = opts.newton_polish and rnorm < opts.newton_trigger
+        newton_step = rnorm < NEWTON_TRIGGER
         d = _newton_direction(u, r, spec, project) if newton_step else None
         if d is None:
             newton_step = False
-            if opts.precondition:
-                d = -project(drop_nyquist(invert_flat_shifted(r * g.exp2v, g, shift=1.0), g))
-            else:
-                d = -r
+            d = -project(drop_nyquist(invert_flat_shifted(r * g.exp2v, g, shift=1.0), g))
         slope = float(np.sum(r * d * area))
         if slope >= 0.0:
             d = -r
@@ -216,15 +213,15 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         step = 1.0
         accepted = False
         r_next = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             try:
                 u_try = project(u + step * d)
                 J_try = j_of(u_try)
             except ExponentOverflowError:
                 guard_hit = True
-                step *= opts.backtrack
+                step *= BACKTRACK
                 continue
-            if J_try <= J + opts.armijo * step * slope:
+            if J_try <= J + ARMIJO * step * slope:
                 accepted = True
                 break
             if newton_step:
@@ -235,7 +232,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
                     accepted = True
                     r_next = r_try
                     break
-            step *= opts.backtrack
+            step *= BACKTRACK
         if not accepted:
             break  # stalled line search: no admissible decrease left
 
@@ -258,7 +255,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
     uf = ScalarField(u)
     _, lam1 = el_residual(uf, spec)
-    log_mu, _, _ = _log_mu(u, spec)
+    log_mu, _, _ = log_mass(u, spec)
     return MinimizeResult(u=uf, jvalue=J, mu=float(np.exp(log_mu)), lambda1=lam1,
                           residual=rnorm, iterations=it, converged=converged,
                           guard_hit=guard_hit)
@@ -266,11 +263,13 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
 def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
                       project) -> np.ndarray | None:
-    """Inexact Newton step: CG on the projected Hessian, guarded against
-    negative curvature (returns None to fall back to gradient descent)."""
+    """Inexact Newton step: CG on the projected Hessian to relative residual
+    1e-3, stopped at the first negative curvature; None when that is the
+    first direction, so the caller falls back to gradient descent.  An
+    iterate cut off by the 200-step cap is still a usable inexact step."""
     g = spec.grid
     area = g.area_element
-    log_mu, shift, w = _log_mu(u, spec)
+    log_mu, shift, w = log_mass(u, spec)
     W = w * np.exp(shift - log_mu)  # h e^u / mu
 
     def hess(phi: np.ndarray) -> np.ndarray:
@@ -278,23 +277,8 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
         wphi = float(np.sum(W * phi * area))
         return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
 
-    b = -r
-    x = np.zeros_like(b)
-    res = b.copy()
-    p = res.copy()
-    rs = float(np.sum(res * res * area))
-    rs0 = rs
-    for _ in range(200):
-        Ap = hess(p)
-        pAp = float(np.sum(p * Ap * area))
-        if pAp <= 0.0:
-            return None if not x.any() else x
-        alpha = rs / pAp
-        x += alpha * p
-        res -= alpha * Ap
-        rs_new = float(np.sum(res * res * area))
-        if rs_new <= rs0 * 1e-6:
-            break
-        p = res + (rs_new / rs) * p
-        rs = rs_new
+    x, info = pcg(hess, -r, inner=lambda a, c: float(np.sum(a * c * area)),
+                  tol=1e-3, max_iter=200)
+    if info.reason == "negative_curvature" and info.iterations == 0:
+        return None
     return x

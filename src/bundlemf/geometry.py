@@ -272,16 +272,19 @@ def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.irfft2(uh, s=u.shape)
 
 
-def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid,
+                           symbol: np.ndarray | None = None) -> np.ndarray:
     """Solve positive flat Laplacian w = f with zero-mean gauge.
 
     The flat mean of f must vanish; the mean component is simply dropped,
-    which the callers guarantee by projection.
+    which the callers guarantee by projection.  `symbol` replaces the
+    spectral one (grid.k2) in rfft layout; its zero modes are dropped too.
     """
+    sym = grid.k2 if symbol is None else symbol
     fh = np.fft.rfft2(f)
-    ok = grid.k2 > 0.0
+    ok = sym > 0.0
     wh = np.zeros_like(fh)
-    wh[ok] = fh[ok] / grid.k2[ok]
+    wh[ok] = fh[ok] / sym[ok]
     return np.fft.irfft2(wh, s=f.shape)
 
 

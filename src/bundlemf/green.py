@@ -17,15 +17,15 @@ finite-difference one, used to cross-validate A_p.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 from scipy.integrate import quad
 
+from .bundle import pcg, require_converged, solve_symmetrized, tau1_deflation
 from .functional import ProblemSpec
-from .geometry import ScalarField, drop_nyquist, torus_distance
+from .geometry import ScalarField, solve_flat_poisson_raw, torus_distance
 
 CUTOFF_RADIUS = 0.125
 CUTOFF_ORDER = 8  # smoothness class of the radial ramp
@@ -125,74 +125,29 @@ def _fd_symbol(grid) -> np.ndarray:
 def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarray:
     """Solve (Delta_g + V) w = rhs for w orthogonal to the kernel.
 
-    rhs must already be projected; spectral backend inverts the flat symbol
-    directly when V vanishes and falls back to deflated PCG otherwise, the
-    fd backend does the same with the 5-point symbol.
+    rhs must already be projected.  The spectral backend is the bundle
+    Poisson solve; the fd backend inverts the 5-point symbol directly when V
+    vanishes and runs deflated PCG otherwise, with no Nyquist filter since
+    the 5-point symbol is positive there.
     """
     g = spec.grid
     b = g.exp2v * rhs
-    sym = g.k2 if backend == "spectral" else _fd_symbol(g)
-    if np.max(np.abs(spec.conn.potential.values)) == 0.0:
-        bh = np.fft.rfft2(b - b.mean())
-        ok = sym > 0.0
-        wh = np.zeros_like(bh)
-        wh[ok] = bh[ok] / sym[ok]
-        return np.fft.irfft2(wh, s=b.shape)
-    return _pcg(b, spec, sym, backend)
-
-
-def _pcg(b: np.ndarray, spec: ProblemSpec, sym: np.ndarray, backend: str,
-         tol: float = 1e-13, max_iter: int = 6000) -> np.ndarray:
-    g = spec.grid
-    V = spec.conn.potential.values
-
     if backend == "spectral":
-        def apply_lap(z):
-            return np.fft.irfft2(g.k2 * np.fft.rfft2(z), s=z.shape)
-    else:
-        def apply_lap(z):
-            return (4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
-                    - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2
+        return solve_symmetrized(b, spec.conn, g, spec.kb)
+    sym = _fd_symbol(g)
+    V = spec.conn.potential.values
+    if not V.any():
+        return solve_flat_poisson_raw(b - b.mean(), g, symbol=sym)
 
-    if spec.kb.dim == 1:
-        t = spec.kb.tau1.values / np.linalg.norm(spec.kb.tau1.values)
-    else:
-        t = None
-
-    # the spectral symbol has no stiffness on the Nyquist modes, where a
-    # partly negative potential would make the operator indefinite; work in
-    # the filtered subspace (the fd symbol is positive there, no filter)
-    filt = (lambda z: drop_nyquist(z, g)) if backend == "spectral" else (lambda z: z)
-
-    def deflate(z):
-        z = filt(z)
-        if t is not None:
-            z = z - np.vdot(t, z).real * t
-        return z
+    def apply(z):
+        return (4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
+                - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2 + g.exp2v * V * z
 
     def precond(z):
         return np.fft.irfft2(np.fft.rfft2(z) / (sym + 1.0), s=z.shape)
 
-    b = deflate(b)
-    x = np.zeros_like(b)
-    r = b.copy()
-    z = deflate(precond(r))
-    p = z.copy()
-    rz = np.vdot(r, z).real
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return x
-    for _ in range(max_iter):
-        Ap = deflate(apply_lap(p) + g.exp2v * V * p)
-        alpha = rz / np.vdot(p, Ap).real
-        x += alpha * p
-        r -= alpha * Ap
-        if np.linalg.norm(r) <= tol * bnorm:
-            break
-        z = deflate(precond(r))
-        rz_new = np.vdot(r, z).real
-        p = z + (rz_new / rz) * p
-        rz = rz_new
+    x, info = pcg(apply, b, precond=precond, project=tau1_deflation(spec.kb))
+    require_converged(info, "finite-difference Green PCG")
     return x
 
 
@@ -298,20 +253,13 @@ def critical_value(gd: GreenData, spec: ProblemSpec) -> float:
                  - 8.0 * pi * np.log(hp) + 4.0 * pi * gd.meanG / spec.grid.total_area)
 
 
-def critical_value_map(spec: ProblemSpec, stride: int, backend: str = "spectral",
-                       workers: int = 4) -> dict:
+def critical_value_map(spec: ProblemSpec, stride: int, backend: str = "spectral") -> dict:
     """Lambda(p) over every stride-th node; reports argmin and argmax."""
     n = spec.grid.n
     if stride <= 0 or n % stride != 0:
         raise ValueError(f"stride {stride} must divide n = {n}")
-    nodes = [(i, j) for i in range(0, n, stride) for j in range(0, n, stride)]
-
-    def one(node):
-        return critical_value(solve_green(node, spec, backend=backend), spec)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        values = list(pool.map(one, nodes))
-
+    values = [critical_value(solve_green((i, j), spec, backend=backend), spec)
+              for i in range(0, n, stride) for j in range(0, n, stride)]
     values = np.array(values).reshape(n // stride, n // stride)
     amin = np.unravel_index(int(np.argmin(values)), values.shape)
     amax = np.unravel_index(int(np.argmax(values)), values.shape)

@@ -15,6 +15,7 @@ from .functional import (
     SolverOptions,
     el_residual,
     evaluate_J,
+    log_mass,
     minimize,
 )
 from .geometry import ScalarField, torus_distance
@@ -45,9 +46,7 @@ def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
     flat = int(np.argmax(u.values))
     x = (flat // g.n, flat % g.n)
     c = float(u.values[x])
-    shift = float(u.values.max())
-    mu = float(np.exp(shift) * np.sum(spec.hweight.values * np.exp(u.values - shift)
-                                      * g.area_element))
+    mu = float(np.exp(log_mass(u.values, spec)[0]))
     hx = float(spec.hweight.values[x])
     r_scale = float(np.sqrt(mu / (rho * hx)) * np.exp(-c / 2.0))
     spec_rho = spec.with_rho(rho)
@@ -137,9 +136,7 @@ def concentration_mass(rec: SweepRecord, spec: ProblemSpec,
     g = spec.grid
     r = torus_distance(g, rec.x)
     mask = r <= radius_factor * rec.r_scale
-    u = rec.u.values
-    shift = float(u.max())
-    w = spec.hweight.values * np.exp(u - shift) * g.area_element
+    w = log_mass(rec.u.values, spec)[2] * g.area_element
     return float(np.sum(w[mask]) / np.sum(w))
 
 

@@ -14,11 +14,9 @@ from scipy.integrate import quad
 from scipy.linalg import solve_banded
 
 from .bundle import bundle_energy, project_H1
-from .functional import ProblemSpec, evaluate_J
+from .functional import EXP_GUARD, ProblemSpec, evaluate_J, log_mass
 from .geometry import ScalarField, TorusGrid, l2_inner, torus_distance
 from .green import GreenData, critical_value, solve_green
-
-EXP_GUARD = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +216,10 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     The ramp annulus reaches r = 2R/k = 2/sqrt(k), which stays inside the
     injectivity radius 1/2 of the unit torus only for k >= 16; for
     8 <= k < 16 the section is built but crosses the cut locus.
+
+    Two grid guards: the cap radius R/k >= 8h, and the bubble core
+    sqrt(8)/k >= 2h, i.e. k <= sqrt(2) n; past the latter the measured
+    energy remainder k (E - E_closed)/pi leaves its ~256 plateau.
     """
     if k < 8:
         raise ValueError("k must be at least 8")
@@ -226,6 +228,9 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     if R / k < 8.0 * g.h:
         raise ValueError(f"grid too coarse to resolve the bubble cap: R/k = {R / k:.4g}"
                          f" < 8 h = {8 * g.h:.4g}")
+    if np.sqrt(8.0) / k < 2.0 * g.h:
+        raise ValueError(f"grid too coarse to resolve the bubble core: sqrt(8)/k ="
+                         f" {np.sqrt(8.0) / k:.4g} < 2 h = {2 * g.h:.4g}")
     if gd is None:
         gd = solve_green(p, spec)
     i, j = gd.p
@@ -300,10 +305,7 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     energy = bundle_energy(fam.field, spec.conn, g)
     energy_closed = qk_energy_closed(fam.k, gd, spec)
 
-    u = fam.field.values
-    shift = float(u.max())
-    logint = shift + float(np.log(np.sum(spec.hweight.values * np.exp(u - shift)
-                                         * g.area_element)))
+    logint, _, _ = log_mass(fam.field.values, spec)
     logint_closed = qk_logint_closed(fam.k, gd, spec)
 
     r = torus_distance(g, fam.p)

@@ -15,7 +15,13 @@ from bundlemf import (
     poincare_constant,
     project_H1,
 )
-from bundlemf.bundle import dense_bundle_matrix, smallest_eigenvalue
+from bundlemf.bundle import (
+    ConvergenceError,
+    dense_bundle_matrix,
+    pcg,
+    smallest_eigenvalue,
+    solve_bundle_poisson,
+)
 from bundlemf.geometry import drop_nyquist, random_band_limited
 
 from conftest import (
@@ -163,6 +169,40 @@ class TestBundleOperators:
         recomputed = (oneform_norm_field(conn.omega, grid64)
                       + codifferential(conn.omega, grid64))
         assert np.max(np.abs(conn.potential.values - recomputed.values)) < 1e-12
+
+
+class TestPCG:
+    def test_spd_converges_within_distinct_eigenvalues(self):
+        d = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 5.0, 5.0, 5.0, 5.0])
+        b = np.random.default_rng(0).standard_normal(d.size)
+        x, info = pcg(lambda p: d * p, b, tol=1e-12)
+        assert info.converged
+        assert info.iterations <= len(np.unique(d))
+        assert info.residual <= 1e-12
+        assert np.allclose(x, b / d, rtol=0.0, atol=1e-12)
+
+    def test_small_cap_stops_on_max_iter(self):
+        d = np.arange(1.0, 11.0)
+        x, info = pcg(lambda p: d * p, np.ones(10), tol=1e-12, max_iter=2)
+        assert info.reason == "max_iter"
+        assert not info.converged
+        assert info.iterations == 2
+        assert info.residual > 1e-12
+
+    def test_indefinite_stops_on_negative_curvature(self):
+        # one step along b = (1, 1), then the next direction has <p, A p> < 0
+        d = np.array([4.0, -1.0])
+        x, info = pcg(lambda p: d * p, np.ones(2))
+        assert info.reason == "negative_curvature"
+        assert info.iterations == 1
+        assert np.allclose(x, [2.0 / 3.0, 2.0 / 3.0], rtol=0.0, atol=1e-15)
+
+    def test_unconverged_poisson_solve_raises(self, grid32):
+        conn = df_connection(grid32, 0.3)
+        kb = kernel_basis(conn, grid32)
+        rhs = project_H1(random_band_limited(grid32, np.random.default_rng(1)), kb, grid32)
+        with pytest.raises(ConvergenceError):
+            solve_bundle_poisson(rhs, conn, grid32, kb, max_iter=1)
 
 
 class TestPoincare:

@@ -1,8 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from bundlemf import bundle, green
 from bundlemf.cli import RunConfig, config_hash, load_config, main
 
 VOLATILE = ("wall_time_s", "timestamp")
@@ -109,12 +111,32 @@ class TestExitCodes:
     def test_numerical_failure_writes_diagnostics(self, tmp_path):
         cfg = tmp_path / "hard.json"
         cfg.write_text(json.dumps({"n": 32, "max_iter": 2, "tol": 1e-300,
-                                   "rho": 12.0, "newton_polish": False}))
+                                   "rho": 12.0}))
         code = main(["minimize", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 1
         s = read_summary(tmp_path, "minimize")
         assert s["status"] == "error"
         assert "error" in s["results"]
+
+    def test_unconverged_pcg_writes_diagnostics(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(green, "solve_symmetrized",
+                            functools.partial(bundle.solve_symmetrized, max_iter=1))
+        code = run(tmp_path, ["green", "--n", "32",
+                              "--connection", "harmonic:6.283185307,0"])
+        assert code == 1
+        s = read_summary(tmp_path, "green")
+        assert s["status"] == "error"
+        assert "PCG" in s["results"]["error"]
+
+    @pytest.mark.parametrize("args", [["--rho", "nan"], ["--rho", "inf"],
+                                      ["--alpha", "-inf"]])
+    def test_non_finite_value(self, tmp_path, args):
+        assert run(tmp_path, ["minimize", "--n", "32"] + args) == 2
+
+    def test_non_finite_config_value(self, tmp_path):
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"n": 32, "tol": NaN, "delta": Infinity}')
+        assert main(["minimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
 class TestConfig:

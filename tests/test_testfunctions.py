@@ -181,6 +181,11 @@ class TestQk:
         with pytest.raises(ValueError):
             build_Qk((0, 0), 64, spec)
 
+    def test_rejects_unresolved_bubble_core(self, spec256):
+        # R/k >= 8h holds at k = 512, n = 256; the core sqrt(8)/k is 1.41 h
+        with pytest.raises(ValueError, match="bubble core"):
+            build_Qk((0, 0), 512, spec256)
+
     def test_rejects_small_k(self, spec256):
         with pytest.raises(ValueError):
             build_Qk((0, 0), 4, spec256)
