@@ -21,6 +21,7 @@ from .geometry import (
     drop_nyquist,
     exterior_derivative,
     flat_laplacian_raw,
+    invert_flat_shifted,
     l2_inner,
     oneform_norm_field,
     solve_flat_poisson_raw,
@@ -196,15 +197,6 @@ def tau1_deflation(kb: KernelBasis):
     return lambda z: z - np.vdot(t, z).real * t
 
 
-def _nyquist_free_inverse(z: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """(Delta_flat + 1)^{-1} z with the Nyquist row and column zeroed."""
-    zh = np.fft.rfft2(z)
-    zh /= grid.k2 + 1.0
-    zh[grid.n // 2, :] = 0.0
-    zh[:, -1] = 0.0
-    return np.fft.irfft2(zh, s=z.shape)
-
-
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
                       kb: KernelBasis, tol: float = PCG_TOL,
                       max_iter: int = PCG_MAX_ITER) -> np.ndarray:
@@ -226,7 +218,7 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
         return drop_nyquist(flat_laplacian_raw(p, grid) + grid.exp2v * V * p, grid)
 
     x, info = pcg(apply, drop_nyquist(b, grid),
-                  precond=lambda r: _nyquist_free_inverse(r, grid),
+                  precond=lambda r: invert_flat_shifted(r, grid),
                   project=tau1_deflation(kb), tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
     return x
@@ -265,10 +257,14 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
     x = ScalarField(drop_nyquist(rng.standard_normal((grid.n, grid.n)), grid))
     x = project_H1(x, kb, grid)
     x = ScalarField(x.values / np.sqrt(l2_inner(x, x, grid)))
+    # only the V = 0 direct solve leaves Nyquist modes; the PCG's result has none
+    direct = not conn.potential.values.any()
     lam_prev = np.inf
     for _ in range(max_iter):
         y = solve_bundle_poisson(x, conn, grid, kb)
-        y = project_H1(ScalarField(drop_nyquist(y.values, grid)), kb, grid)
+        if direct:
+            y = ScalarField(drop_nyquist(y.values, grid))
+        y = project_H1(y, kb, grid)
         ny = np.sqrt(l2_inner(y, y, grid))
         if ny == 0.0:
             raise EigensolveError("inverse iteration produced the zero vector")

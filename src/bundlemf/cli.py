@@ -38,7 +38,7 @@ from .presets import (
     save_field_json,
     save_scalar_csv,
 )
-from .sweep import blowup_diagnostics, subcritical_sweep
+from .sweep import blowup_diagnostics, record_from_state, subcritical_sweep
 from .testfunctions import bubble_checks, build_Qk, moser_family, qk_audit, tm_probe
 
 COMMANDS = ("minimize", "sweep", "green", "critmap", "moser", "bubble", "qk",
@@ -194,6 +194,9 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     out = {"jvalue": res.jvalue, "mu": res.mu, "lambda1": res.lambda1,
            "residual": res.residual, "iterations": res.iterations,
            "converged": res.converged, "max_u": float(res.u.values.max()),
+           # below 1 the bubble is narrower than the grid spacing
+           "r_scale_over_h": (record_from_state(res.u, spec.rho, spec, res).r_scale
+                              / spec.grid.h if spec.rho > 0 else None),
            "field_csv": "minimizer.csv"}
     if not res.converged:
         raise NumericalFailure("minimization did not converge", out)

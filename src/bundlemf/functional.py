@@ -31,11 +31,10 @@ from .geometry import (
 EXP_GUARD = 700.0
 RHO_CRITICAL = 8.0 * np.pi
 
-# line search and Newton polish of `minimize`
+# line search of `minimize`
 ARMIJO = 1e-4
 BACKTRACK = 0.5
 MAX_BACKTRACKS = 60
-NEWTON_TRIGGER = 1e-4       # projected residual below which Newton-CG takes over
 
 
 class ExponentOverflowError(FloatingPointError):
@@ -141,10 +140,12 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
              opts: SolverOptions = SolverOptions()) -> MinimizeResult:
     """Minimize the functional over the kernel complement.
 
-    Preconditioned projected gradient descent with Armijo backtracking;
-    the descent direction is -P (Delta_flat + 1)^{-1} r, which is the exact
-    Sobolev gradient in the spectral basis.  Once the projected residual
-    drops below the Newton trigger an inexact Newton-CG polish takes over.
+    Truncated Newton-PCG with Armijo backtracking: every step is the
+    direction of `_newton_direction`, whose first PCG iterate is the
+    preconditioned gradient -P (Delta_flat + 1)^{-1} e^{2v} r; a direction
+    that is not a descent one is replaced by -r.  A step is also accepted
+    when it cuts the residual by 10%, since near the minimum the functional
+    is flat to roundoff and Armijo cannot certify progress.
     Guaranteed-convergence regime is rho < 8 pi; larger rho is accepted with
     a warning, where divergence signals non-coercivity rather than failure.
     """
@@ -199,20 +200,13 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
     while not converged and it < opts.max_iter:
         it += 1
-        newton_step = rnorm < NEWTON_TRIGGER
-        d = _newton_direction(u, r, spec, project) if newton_step else None
-        if d is None:
-            newton_step = False
-            d = -project(drop_nyquist(invert_flat_shifted(r * g.exp2v, g, shift=1.0), g))
+        d = _newton_direction(u, r, spec, project)
         slope = float(np.sum(r * d * area))
         if slope >= 0.0:
             d = -r
             slope = -rnorm**2
-            newton_step = False
 
         step = 1.0
-        accepted = False
-        r_next = None
         for _ in range(MAX_BACKTRACKS):
             try:
                 u_try = project(u + step * d)
@@ -221,24 +215,14 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
                 guard_hit = True
                 step *= BACKTRACK
                 continue
-            if J_try <= J + ARMIJO * step * slope:
-                accepted = True
+            r_try = grad(u_try)
+            if J_try <= J + ARMIJO * step * slope or resid_norm(r_try) <= 0.9 * rnorm:
                 break
-            if newton_step:
-                # near the minimum the functional is flat to roundoff and
-                # Armijo cannot certify progress; accept on residual decrease
-                r_try = grad(u_try)
-                if resid_norm(r_try) <= 0.9 * rnorm:
-                    accepted = True
-                    r_next = r_try
-                    break
             step *= BACKTRACK
-        if not accepted:
+        else:
             break  # stalled line search: no admissible decrease left
 
-        u = u_try
-        J = J_try
-        r = grad(u) if r_next is None else r_next
+        u, J, r = u_try, J_try, r_try
         rnorm = resid_norm(r)
         if rnorm < best[2] * (1.0 - 1e-3):
             stall = 0
@@ -262,11 +246,13 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
 
 def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
-                      project) -> np.ndarray | None:
-    """Inexact Newton step: CG on the projected Hessian to relative residual
-    1e-3, stopped at the first negative curvature; None when that is the
-    first direction, so the caller falls back to gradient descent.  An
-    iterate cut off by the 200-step cap is still a usable inexact step."""
+                      project) -> np.ndarray:
+    """Truncated Newton step (Steihaug, SIAM J. Numer. Anal. 20, 1983): PCG
+    on the projected Hessian to relative residual 1e-3, preconditioned with
+    the bundle Poisson solve's (Delta_flat + 1)^{-1} applied to e^{2v} z.
+    On negative curvature at the first step it returns the preconditioned
+    gradient -P M r; on negative curvature later, or at the 200-step cap,
+    the iterate reached so far."""
     g = spec.grid
     area = g.area_element
     log_mu, shift, w = log_mass(u, spec)
@@ -277,8 +263,11 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
         wphi = float(np.sum(W * phi * area))
         return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
 
-    x, info = pcg(hess, -r, inner=lambda a, c: float(np.sum(a * c * area)),
-                  tol=1e-3, max_iter=200)
+    def precond(z: np.ndarray) -> np.ndarray:
+        return invert_flat_shifted(z * g.exp2v, g)
+
+    x, info = pcg(hess, -r, precond=precond, project=project,
+                  inner=lambda a, c: float(np.sum(a * c * area)), tol=1e-3, max_iter=200)
     if info.reason == "negative_curvature" and info.iterations == 0:
-        return None
+        return -project(precond(r))
     return x

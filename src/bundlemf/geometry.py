@@ -254,9 +254,14 @@ def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.irfft2(grid.k2 * np.fft.rfft2(u), s=u.shape)
 
 
-def invert_flat_shifted(u: np.ndarray, grid: TorusGrid, shift: float = 1.0) -> np.ndarray:
-    """Apply (Delta_flat + shift)^{-1} spectrally; exact preconditioner."""
-    return np.fft.irfft2(np.fft.rfft2(u) / (grid.k2 + shift), s=u.shape)
+def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
+    preconditioner of every spectral Krylov solve (see drop_nyquist)."""
+    uh = np.fft.rfft2(u)
+    uh /= grid.k2 + 1.0
+    uh[grid.n // 2, :] = 0.0
+    uh[:, -1] = 0.0
+    return np.fft.irfft2(uh, s=u.shape)
 
 
 def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:

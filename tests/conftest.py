@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bundlemf import (
     OneForm,
@@ -9,6 +10,12 @@ from bundlemf import (
     make_connection,
     make_problem,
 )
+
+# deterministic property tests: the same examples on every run (no replay of
+# stored failures) and no timing deadline, which a loaded 2-core box would trip
+settings.register_profile("bundlemf", derandomize=True, deadline=None,
+                          max_examples=20, database=None)
+settings.load_profile("bundlemf")
 
 
 def axis(n):

@@ -39,6 +39,16 @@ class TestCommands:
         assert run(tmp_path, ["minimize", "--n", "32", "--rho", "0.0"]) == 0
         s = read_summary(tmp_path, "minimize")
         assert s["results"]["max_u"] == 0.0
+        assert s["results"]["r_scale_over_h"] is None
+
+    def test_minimize_reports_grid_scale_bubble(self, tmp_path):
+        # near 8 pi the cold start converges to a bubble narrower than one
+        # grid spacing, which the summary flags with r_scale_over_h < 1
+        assert run(tmp_path, ["minimize", "--n", "64", "--rho", repr(8 * np.pi - 1 / 32),
+                              "--h-preset", "exp-cos:1.0", "--seed", "0"]) == 0
+        s = read_summary(tmp_path, "minimize")
+        assert s["results"]["converged"]
+        assert s["results"]["r_scale_over_h"] < 1.0
 
     def test_green(self, tmp_path):
         assert run(tmp_path, ["green", "--n", "64", "--p", "3,5"]) == 0

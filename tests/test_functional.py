@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bundlemf import (
     ExponentOverflowError,
@@ -15,9 +17,17 @@ from bundlemf import (
     minimize,
     project_H1,
 )
-from bundlemf.geometry import random_band_limited
+from bundlemf.cli import RunConfig, build_problem
+from bundlemf.functional import RHO_CRITICAL, _newton_direction, _raw_residual
+from bundlemf.geometry import drop_nyquist, invert_flat_shifted, random_band_limited
 
-from conftest import cos_x_field, df_connection, ones_field, zero_connection
+from conftest import (
+    cos_x_field,
+    df_connection,
+    harmonic_connection,
+    ones_field,
+    zero_connection,
+)
 
 
 def classical_J(u, spec):
@@ -195,6 +205,64 @@ class TestMinimize:
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.jvalue)
+
+
+def tau1_projection(spec):
+    """The L2(dv_g) projection off tau1 that `minimize` hands to the Newton step."""
+    if spec.kb.dim == 0:
+        return lambda z: z
+    t1 = spec.kb.tau1.values
+    area = spec.grid.area_element
+    return lambda z: z - np.sum(z * t1 * area) * t1
+
+
+def projected_residual(u, spec, project):
+    return project(drop_nyquist(_raw_residual(u, spec)[0], spec.grid))
+
+
+class TestNewtonDirection:
+    def test_cold_start_few_steps(self):
+        # the CLI's minimize start: seed 0, amplitude 0.1
+        spec = build_problem(RunConfig(n=64, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5"))
+        init = random_band_limited(spec.grid, np.random.default_rng(0), amplitude=0.1)
+        res = minimize(spec, init, SolverOptions(tol=1e-11))
+        assert res.converged
+        assert res.iterations <= 6
+        assert abs(res.jvalue - (-0.99347800438375)) <= 1e-12
+
+    def test_first_step_negative_curvature_is_preconditioned_gradient(self):
+        spec = build_problem(RunConfig(n=32, rho=200.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5"))
+        g = spec.grid
+        project = tau1_projection(spec)
+        init = random_band_limited(g, np.random.default_rng(0), amplitude=0.1)
+        u = project(drop_nyquist(init.values, g))
+        r = projected_residual(u, spec, project)
+        d = _newton_direction(u, r, spec, project)
+        assert np.max(np.abs(d + project(invert_flat_shifted(r * g.exp2v, g)))) == 0.0
+
+    @given(conn=st.sampled_from(["zero", "exact", "harmonic"]),
+           rho=st.floats(-10.0, RHO_CRITICAL, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1),
+           kmax=st.integers(1, 8),
+           amplitude=st.floats(0.05, 2.0))
+    def test_direction_properties(self, grid32, conn, rho, seed, kmax, amplitude):
+        make = {"zero": zero_connection, "exact": df_connection,
+                "harmonic": harmonic_connection}[conn]
+        h = ScalarField(np.exp(cos_x_field(32, 0.5).values))
+        spec = make_problem(grid32, make(grid32), h, rho)
+        g = spec.grid
+        project = tau1_projection(spec)
+        u = project(random_band_limited(g, np.random.default_rng(seed), kmax=kmax,
+                                        amplitude=amplitude).values)
+        r = projected_residual(u, spec, project)
+        d = _newton_direction(u, r, spec, project)
+        dnorm = l2_norm(d, g)
+        assert np.sum(r * d * g.area_element) < 0.0
+        if spec.kb.dim == 1:
+            assert abs(np.sum(d * spec.kb.tau1.values * g.area_element)) <= 1e-10 * dnorm
+        assert np.max(np.abs(drop_nyquist(d, g) - d)) <= 1e-12 * np.max(np.abs(d))
 
 
 class TestCoercivityProbe:
