@@ -29,7 +29,8 @@ from .geometry import (
 
 
 class EigensolveError(RuntimeError):
-    """Inverse iteration failed to settle within the iteration budget."""
+    """The eigen-solve stopped short of its tolerance (the message names why,
+    after how many steps and at what residual) or found lambda <= 0."""
 
 
 @dataclass(frozen=True)
@@ -197,27 +198,30 @@ def tau1_deflation(kb: KernelBasis):
     return lambda z: z - np.vdot(t, z).real * t
 
 
+def symmetrized_apply(conn: Connection, grid: TorusGrid):
+    """p -> (Delta_flat + e^{2v} V) p with the Nyquist modes dropped: the
+    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian.
+
+    See geometry.drop_nyquist: the spectral symbol has no stiffness on the
+    Nyquist modes, where a partly negative potential would be indefinite.
+    e^{2v} V is formed per apply: storing it for the solve raised the peak
+    RSS of a 1024^2 Green solve by one field (8 MB).
+    """
+    V = conn.potential.values
+    return lambda p: drop_nyquist(flat_laplacian_raw(p, grid) + grid.exp2v * V * p, grid)
+
+
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
                       kb: KernelBasis, tol: float = PCG_TOL,
                       max_iter: int = PCG_MAX_ITER) -> np.ndarray:
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
-    complement: directly when V = 0, else by PCG preconditioned with the
-    exact inverse of (Delta_flat + 1); raises ConvergenceError short of tol.
-
-    See geometry.drop_nyquist: the spectral symbol has no stiffness on the
-    Nyquist modes, where a partly negative potential would be indefinite;
-    the apply and the preconditioner's symbol both drop those modes.
+    complement: directly when V = 0, else by PCG on `symmetrized_apply`
+    preconditioned with the Nyquist-free exact inverse of (Delta_flat + 1);
+    raises ConvergenceError short of tol.
     """
-    V = conn.potential.values
-    if not V.any():
+    if not conn.potential.values.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
-
-    # e^{2v} V is formed per apply: storing it for the solve raised the peak
-    # RSS of a 1024^2 Green solve by one field (8 MB)
-    def apply(p):
-        return drop_nyquist(flat_laplacian_raw(p, grid) + grid.exp2v * V * p, grid)
-
-    x, info = pcg(apply, drop_nyquist(b, grid),
+    x, info = pcg(symmetrized_apply(conn, grid), drop_nyquist(b, grid),
                   precond=lambda r: invert_flat_shifted(r, grid),
                   project=tau1_deflation(kb), tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
@@ -236,11 +240,20 @@ def solve_bundle_poisson(rhs: ScalarField, conn: Connection, grid: TorusGrid,
                                          tol=tol, max_iter=max_iter))
 
 
+# ---------------------------------------------------------------------------
+# Poincare constant: the smallest eigenvalue on the kernel complement
+# ---------------------------------------------------------------------------
+
+EIG_TOL = 1e-8          # relative residual; lam's error goes like its square
+EIG_STALL_STEPS = 20    # steps without a new lowest residual that make a stall
+EIG_DEPENDENT = 1e-8    # share of a vector left by Gram-Schmidt below which it is dependent
+
+
 def poincare_constant(conn: Connection, grid: TorusGrid,
                       kb: KernelBasis | None = None, seed: int = 0,
-                      tol: float = 1e-12, max_iter: int = 500) -> float:
+                      tol: float = EIG_TOL, max_iter: int = 500) -> float:
     """1 / lambda_min of the bundle Laplacian on the discrete complement of
-    the kernel, by inverse iteration with tau1 deflated."""
+    the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`."""
     if kb is None:
         kb = kernel_basis(conn, grid)
     lam, _ = smallest_eigenvalue(conn, grid, kb, seed=seed, tol=tol, max_iter=max_iter)
@@ -250,30 +263,101 @@ def poincare_constant(conn: Connection, grid: TorusGrid,
 
 
 def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
-                        seed: int = 0, tol: float = 1e-12,
+                        seed: int = 0, tol: float = EIG_TOL,
                         max_iter: int = 500) -> tuple[float, ScalarField]:
-    """Smallest eigenvalue of Delta_g + V restricted to the kernel complement."""
+    """Smallest eigenvalue of Delta_g + V on the Nyquist-free fields
+    L2(dv_g)-orthogonal to the kernel, and its unit eigenvector.
+
+    Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541,
+    Alg. 4.1 with block size 1) on the pencil K x = lam e^{2v} x, K the
+    `symmetrized_apply` operator, preconditioned with
+    geometry.invert_flat_shifted.  Each step is a Rayleigh-Ritz on
+    span{x, T r, p} made L2(dv_g)-orthonormal by Gram-Schmidt; K x and K p
+    are carried along, so a step costs one preconditioner and one operator
+    apply.  p is dropped when it is nearly dependent on the other two.
+    `seed` draws the start vector.
+
+    `tol` bounds the relative residual ||K x - lam e^{2v} x|| / (|lam|
+    ||e^{2v} x||); the eigenvalue error goes like its square.  Raises
+    EigensolveError naming the reason (`max_iter`, or `stall` when the
+    residual has not reached a new low in EIG_STALL_STEPS steps), the step
+    count and the final relative residual; it never returns a pair short of
+    tol.
+    """
+    apply = symmetrized_apply(conn, grid)
+    weights = grid.area_element
+
+    def dot(a, b):                              # L2(dv_g)
+        return float(np.sum(a * b * weights))
+
+    if grid.v.values.any():
+        def mass(z):                            # e^{2v} z on the Nyquist-free fields
+            return drop_nyquist(grid.exp2v * z, grid)
+    else:
+        def mass(z):
+            return z
+
+    if kb.dim == 1:
+        t = drop_nyquist(kb.tau1.values, grid)
+        t /= np.sqrt(dot(t, t))
+
+        def deflate(z):
+            return z - dot(t, z) * t
+    else:
+        def deflate(z):
+            return z
+
+    def orthonormalize(z, Az, basis):
+        """Gram-Schmidt of z (and its image Az, when known) against the
+        orthonormal basis, twice; None when less than EIG_DEPENDENT of z is left."""
+        norm0 = np.sqrt(dot(z, z))
+        for _ in range(2):
+            for b, Ab in basis:
+                c = dot(b, z)
+                z = z - c * b
+                if Az is not None:
+                    Az = Az - c * Ab
+        norm = np.sqrt(dot(z, z))
+        if not norm > EIG_DEPENDENT * norm0:
+            return None
+        return z / norm, (None if Az is None else Az / norm)
+
+    def stopped(reason):
+        return EigensolveError(f"eigensolve stopped on {reason} after {steps} steps"
+                               f" at relative residual {res:.3e}")
+
     rng = np.random.default_rng(seed)
-    x = ScalarField(drop_nyquist(rng.standard_normal((grid.n, grid.n)), grid))
-    x = project_H1(x, kb, grid)
-    x = ScalarField(x.values / np.sqrt(l2_inner(x, x, grid)))
-    # only the V = 0 direct solve leaves Nyquist modes; the PCG's result has none
-    direct = not conn.potential.values.any()
-    lam_prev = np.inf
-    for _ in range(max_iter):
-        y = solve_bundle_poisson(x, conn, grid, kb)
-        if direct:
-            y = ScalarField(drop_nyquist(y.values, grid))
-        y = project_H1(y, kb, grid)
-        ny = np.sqrt(l2_inner(y, y, grid))
-        if ny == 0.0:
-            raise EigensolveError("inverse iteration produced the zero vector")
-        x = ScalarField(y.values / ny)
-        lam = bundle_energy(x, conn, grid) / l2_inner(x, x, grid)
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            return lam, x
-        lam_prev = lam
-    raise EigensolveError(f"eigensolve did not converge in {max_iter} iterations")
+    x, _ = orthonormalize(deflate(drop_nyquist(rng.standard_normal((grid.n, grid.n)),
+                                               grid)), None, [])
+    Ax, p, Ap = apply(x), None, None
+    best, since_best, steps = np.inf, 0, 0
+    while True:
+        lam = float(np.vdot(x, Ax)) * grid.h**2 / dot(x, x)
+        Mx = mass(x)
+        r = Ax - lam * Mx
+        res = float(np.linalg.norm(r) / (abs(lam) * np.linalg.norm(Mx)))
+        if res <= tol:
+            return lam, ScalarField(x)
+        best, since_best = (res, 0) if res < best else (best, since_best + 1)
+        if steps >= max_iter:
+            raise stopped("max_iter")
+        if since_best >= EIG_STALL_STEPS:
+            raise stopped("stall")
+        steps += 1
+        basis = [(x, Ax)]
+        q = None if p is None else orthonormalize(p, Ap, basis)
+        Tr = deflate(invert_flat_shifted(r, grid))
+        w = None if q is None else orthonormalize(Tr, None, basis + [q])
+        if w is None:      # no p, or p or T r dependent on the rest: go on without p
+            q, w = None, orthonormalize(Tr, None, basis)
+        if w is None:
+            raise stopped("stall")
+        basis += ([q] if q else []) + [(w[0], apply(w[0]))]
+        G = np.array([[float(np.vdot(a, Ab)) for _, Ab in basis] for a, _ in basis])
+        c = np.linalg.eigh(0.5 * (G + G.T))[1][:, 0]
+        p = sum(ci * b for ci, (b, _) in zip(c[1:], basis[1:]))
+        Ap = sum(ci * Ab for ci, (_, Ab) in zip(c[1:], basis[1:]))
+        x, Ax = c[0] * x + p, c[0] * Ax + Ap
 
 
 def dense_bundle_matrix(conn: Connection, grid: TorusGrid) -> np.ndarray:

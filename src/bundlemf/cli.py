@@ -191,12 +191,14 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     save_scalar_csv(res.u, str(outdir / "minimizer.csv"), cfg.v_preset)
     save_field_json(str(outdir / "minimizer.json"), "minimizer.csv", "scalar",
                     cfg.n, cfg.v_preset)
+    # below 1 the bubble is narrower than the grid spacing: a grid artifact
+    r_over_h = (record_from_state(res.u, spec.rho, spec, res).r_scale / spec.grid.h
+                if spec.rho > 0 else None)
     out = {"jvalue": res.jvalue, "mu": res.mu, "lambda1": res.lambda1,
            "residual": res.residual, "iterations": res.iterations,
            "converged": res.converged, "max_u": float(res.u.values.max()),
-           # below 1 the bubble is narrower than the grid spacing
-           "r_scale_over_h": (record_from_state(res.u, spec.rho, spec, res).r_scale
-                              / spec.grid.h if spec.rho > 0 else None),
+           "r_scale_over_h": r_over_h,
+           "grid_resolved": None if r_over_h is None else bool(r_over_h >= 1.0),
            "field_csv": "minimizer.csv"}
     if not res.converged:
         raise NumericalFailure("minimization did not converge", out)

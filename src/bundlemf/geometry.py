@@ -256,7 +256,8 @@ def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
-    preconditioner of every spectral Krylov solve (see drop_nyquist)."""
+    preconditioner of every spectral Krylov solve and of the eigen-solve
+    (see drop_nyquist)."""
     uh = np.fft.rfft2(u)
     uh /= grid.k2 + 1.0
     uh[grid.n // 2, :] = 0.0

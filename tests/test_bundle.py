@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import null_space
 
 from bundlemf import (
     OneForm,
@@ -17,6 +20,7 @@ from bundlemf import (
 )
 from bundlemf.bundle import (
     ConvergenceError,
+    EigensolveError,
     dense_bundle_matrix,
     pcg,
     smallest_eigenvalue,
@@ -211,18 +215,47 @@ class TestPoincare:
         C = poincare_constant(conn, grid64)
         assert abs(C - 1 / (4 * np.pi**2)) < 1e-3 * (1 / (4 * np.pi**2))
 
-    def test_harmonic_connection_positive(self, grid32):
-        conn = harmonic_connection(grid32, 2 * np.pi, 0.0)
+    def test_harmonic_connection_positive(self):
+        # the 2 pi dx holonomy on the flat torus; the exact connection on the
+        # conformal metric cos-x:0.3, where inverse iteration converged at
+        # rate 0.988 and stopped at its 500-step cap; and a rough conformal
+        # metric, whose e^{2v} x has Nyquist modes the residual must drop
+        rough = 0.3 * np.random.default_rng(0).standard_normal((32, 32))
+        for v, conn_of, dim in ((None, lambda g: harmonic_connection(g, 2 * np.pi, 0.0), 0),
+                                ("cos-x:0.3", df_connection, 1),
+                                (rough, lambda g: harmonic_connection(g, 1.0, 2.0), 0)):
+            grid = build_grid(32, v)
+            conn = conn_of(grid)
+            kb = kernel_basis(conn, grid)
+            assert kb.dim == dim
+            lam, _ = smallest_eigenvalue(conn, grid, kb)
+            assert lam > 0.0
+            ref = _restricted_oracle(conn, grid, kb)
+            assert abs(lam - ref) < 1e-10 * max(1.0, ref)
+
+    def test_unconverged_eigensolve_raises(self, grid32):
+        conn = df_connection(grid32, 0.3)
         kb = kernel_basis(conn, grid32)
-        assert kb.dim == 0
-        lam, _ = smallest_eigenvalue(conn, grid32, kb)
-        assert lam > 0.0
-        # dense oracle on the Nyquist-filtered subspace
-        A = dense_bundle_matrix(conn, grid32)
-        F = _nyquist_projector(grid32)
-        M = F @ A @ F + 1e6 * (np.eye(A.shape[0]) - F)
-        evals = np.linalg.eigvalsh(0.5 * (M + M.T))
-        assert abs(lam - evals[0]) < 1e-6 * max(1.0, evals[0])
+        with pytest.raises(EigensolveError,
+                          match=r"max_iter after 2 steps at relative residual \d"):
+            smallest_eigenvalue(conn, grid32, kb, max_iter=2)
+
+    @given(a=st.floats(0.5, 10.0), b=st.floats(-10.0, 10.0),
+           amp=st.floats(-1.0, 1.0), harmonic=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_eigenpair_properties(self, grid32, a, b, amp, harmonic, seed):
+        conn = (harmonic_connection(grid32, a, b) if harmonic
+                else df_connection(grid32, amp))
+        kb = kernel_basis(conn, grid32)
+        lam, x = smallest_eigenvalue(conn, grid32, kb, seed=seed)
+        scale = np.max(np.abs(x.values))
+        assert np.max(np.abs(drop_nyquist(x.values, grid32) - x.values)) <= 1e-12 * scale
+        if kb.dim == 1:
+            assert abs(l2_inner(x, kb.tau1, grid32)) <= 1e-10
+        rayleigh = bundle_energy(x, conn, grid32) / l2_inner(x, x, grid32)
+        assert abs(lam - rayleigh) <= 1e-10 * lam
+        if harmonic:
+            assert abs(lam - (a * a + b * b)) <= 1e-10 * (a * a + b * b)
 
     def test_refinement_stability(self):
         vals = []
@@ -250,6 +283,19 @@ def _nyquist_projector(grid):
     for j in range(N):
         cols[:, j] = drop_nyquist(eye[:, j].reshape(n, n), grid).ravel()
     return cols
+
+
+def _restricted_oracle(conn, grid, kb):
+    """Smallest eigenvalue of the symmetrized dense bundle matrix on an
+    orthonormal basis of W^{1/2} (Nyquist-free fields), W the area weights,
+    with W^{1/2} tau1 removed.  Unlike F A F it holds on conformal metrics."""
+    evals, B = np.linalg.eigh(_nyquist_projector(grid))
+    w = np.sqrt(grid.area_element.ravel())
+    Q, _ = np.linalg.qr(w[:, None] * B[:, evals > 0.5])
+    if kb.dim == 1:
+        Q = Q @ null_space((Q.T @ (w * kb.tau1.values.ravel()))[None, :])
+    M = Q.T @ dense_bundle_matrix(conn, grid) @ Q
+    return np.linalg.eigvalsh(0.5 * (M + M.T))[0]
 
 
 class TestKernelDichotomy:

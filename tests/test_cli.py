@@ -40,6 +40,7 @@ class TestCommands:
         s = read_summary(tmp_path, "minimize")
         assert s["results"]["max_u"] == 0.0
         assert s["results"]["r_scale_over_h"] is None
+        assert s["results"]["grid_resolved"] is None
 
     def test_minimize_reports_grid_scale_bubble(self, tmp_path):
         # near 8 pi the cold start converges to a bubble narrower than one
@@ -49,6 +50,7 @@ class TestCommands:
         s = read_summary(tmp_path, "minimize")
         assert s["results"]["converged"]
         assert s["results"]["r_scale_over_h"] < 1.0
+        assert s["results"]["grid_resolved"] is False
 
     def test_green(self, tmp_path):
         assert run(tmp_path, ["green", "--n", "64", "--p", "3,5"]) == 0
@@ -182,8 +184,8 @@ class TestDeterminism:
         for out in (out1, out2):
             assert main(["minimize", "--n", "32", "--seed", "7",
                          "--out", str(out)]) == 0
-        s1 = json.load(open(out1 / "minimize_summary.json"))
-        s2 = json.load(open(out2 / "minimize_summary.json"))
+        s1 = json.loads((out1 / "minimize_summary.json").read_text())
+        s2 = json.loads((out2 / "minimize_summary.json").read_text())
         for key in VOLATILE:
             s1.pop(key), s2.pop(key)
         s1["config"].pop("out"), s2["config"].pop("out")
@@ -193,8 +195,8 @@ class TestDeterminism:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["minimize", "--n", "32", "--seed", "1", "--out", str(out1)])
         main(["minimize", "--n", "32", "--seed", "2", "--out", str(out2)])
-        s1 = json.load(open(out1 / "minimize_summary.json"))
-        s2 = json.load(open(out2 / "minimize_summary.json"))
+        s1 = json.loads((out1 / "minimize_summary.json").read_text())
+        s2 = json.loads((out2 / "minimize_summary.json").read_text())
         assert s1["config_hash"] != s2["config_hash"]
 
 
@@ -235,6 +237,6 @@ class TestFieldIO:
 
         save_field_json(str(tmp_path / "d.json"), str(tmp_path / "f.csv"),
                         "scalar", 32, "zero")
-        desc = json.load(open(tmp_path / "d.json"))
+        desc = json.loads((tmp_path / "d.json").read_text())
         assert desc == {"kind": "scalar", "n": 32, "v_preset": "zero",
                         "csv": "f.csv"}
