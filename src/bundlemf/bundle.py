@@ -8,7 +8,7 @@ V = |w|^2_g + d* w, which is what every solver in this module exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .geometry import (
     exterior_derivative,
     flat_laplacian_raw,
     invert_flat_shifted,
-    l2_inner,
     oneform_norm_field,
     solve_flat_poisson_raw,
 )
@@ -56,11 +55,37 @@ class KernelBasis:
 
     When the connection form is exact, w = df, the kernel is spanned by
     tau1 ~ e^{-f} normalized to unit L2 norm; f carries the zero-mean gauge.
+
+    `component` and `project` act on raw arrays in the inner product with
+    quadrature `weights` (Euclidean when None): the projection onto H1, the
+    complement of the kernel, for every solver.  <tau1, tau1>_w is summed
+    once per weights array.
     """
 
     dim: int
     tau1: ScalarField | None = None
     f: ScalarField | None = None
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def component(self, z: np.ndarray, weights: np.ndarray | None = None) -> float:
+        """<z, tau1>_w / <tau1, tau1>_w; 0.0 when the kernel is trivial."""
+        if self.dim == 0:
+            return 0.0
+        t = self.tau1.values
+        hit = self._norms.get(id(weights))
+        if hit is None or hit[0] is not weights:
+            hit = self._norms[id(weights)] = (weights, self._dot(t, t, weights))
+        return self._dot(z, t, weights) / hit[1]
+
+    @staticmethod
+    def _dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> float:
+        return float(np.vdot(b, a).real if weights is None else np.sum(a * b * weights))
+
+    def project(self, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """z minus its tau1 component; z itself when the kernel is trivial."""
+        if self.dim == 0:
+            return z
+        return z - self.component(z, weights) * self.tau1.values
 
 
 def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
@@ -93,11 +118,8 @@ def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
 
 
 def project_H1(u: ScalarField, kb: KernelBasis, grid: TorusGrid) -> ScalarField:
-    """L2-orthogonal projection onto the complement of the kernel."""
-    if kb.dim == 0:
-        return u
-    coef = l2_inner(u, kb.tau1, grid)
-    return ScalarField(u.values - coef * kb.tau1.values)
+    """L2(dv_g)-orthogonal projection onto the complement of the kernel."""
+    return u if kb.dim == 0 else ScalarField(kb.project(u.values, grid.area_element))
 
 
 def bundle_energy(u: ScalarField, conn: Connection, grid: TorusGrid) -> float:
@@ -108,11 +130,15 @@ def bundle_energy(u: ScalarField, conn: Connection, grid: TorusGrid) -> float:
     return float(np.sum(d1 * d1 + d2 * d2) * grid.h**2)
 
 
-def bundle_laplacian(u: ScalarField, conn: Connection, grid: TorusGrid) -> ScalarField:
-    """Delta_g u + V u, the frame-coefficient form of the bundle Laplacian."""
-    from .geometry import laplacian
+def bundle_laplacian_raw(u: np.ndarray, conn: Connection, grid: TorusGrid) -> np.ndarray:
+    """Delta_g u + V u on a raw array, the frame-coefficient form of the
+    bundle Laplacian."""
+    return flat_laplacian_raw(u, grid) / grid.exp2v + conn.potential.values * u
 
-    return laplacian(u, grid) + ScalarField(conn.potential.values * u.values)
+
+def bundle_laplacian(u: ScalarField, conn: Connection, grid: TorusGrid) -> ScalarField:
+    """`bundle_laplacian_raw` on a field."""
+    return ScalarField(bundle_laplacian_raw(u.values, conn, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +216,6 @@ def require_converged(info: PCGInfo, what: str) -> None:
                                f" iterations at relative residual {info.residual:.3e}")
 
 
-def tau1_deflation(kb: KernelBasis):
-    """Euclidean projection off tau1 for the flat-symmetrized solves."""
-    if kb.dim == 0:
-        return lambda z: z
-    t = kb.tau1.values / np.linalg.norm(kb.tau1.values)
-    return lambda z: z - np.vdot(t, z).real * t
-
-
 def symmetrized_apply(conn: Connection, grid: TorusGrid):
     """p -> (Delta_flat + e^{2v} V) p with the Nyquist modes dropped: the
     flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian.
@@ -223,7 +241,7 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
         return solve_flat_poisson_raw(b - b.mean(), grid)
     x, info = pcg(symmetrized_apply(conn, grid), drop_nyquist(b, grid),
                   precond=lambda r: invert_flat_shifted(r, grid),
-                  project=tau1_deflation(kb), tol=tol, max_iter=max_iter)
+                  project=kb.project, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
     return x
 
@@ -297,15 +315,11 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
         def mass(z):
             return z
 
-    if kb.dim == 1:
-        t = drop_nyquist(kb.tau1.values, grid)
-        t /= np.sqrt(dot(t, t))
+    if kb.dim == 1:                             # deflate the Nyquist-free part of tau1
+        kb = replace(kb, tau1=ScalarField(drop_nyquist(kb.tau1.values, grid)))
 
-        def deflate(z):
-            return z - dot(t, z) * t
-    else:
-        def deflate(z):
-            return z
+    def deflate(z):
+        return kb.project(z, weights)
 
     def orthonormalize(z, Az, basis):
         """Gram-Schmidt of z (and its image Az, when known) against the

@@ -206,6 +206,8 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, outdir) -> dict:
+    if cfg.kmax < 4:
+        raise UsageError(f"kmax must be at least 4, got {cfg.kmax}")
     spec = build_problem(cfg)
     records = subcritical_sweep(spec, cfg.kmax, opts=solver_options(cfg))
     report = blowup_diagnostics(records, spec)
@@ -254,7 +256,10 @@ def cmd_moser(cfg: RunConfig, outdir) -> dict:
     k = 4
     while k <= max(cfg.kmax, 4):
         ks.append(k)
-        members.append(moser_family(z, cfg.delta, k, spec))
+        try:
+            members.append(moser_family(z, cfg.delta, k, spec))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         k *= 2
     values = tm_probe(cfg.alpha, members, spec.conn, spec.grid)
     rows = ["k,value"] + [f"{kk},{val:.17g}" for kk, val in zip(ks, values)]
@@ -277,7 +282,10 @@ def cmd_bubble(cfg: RunConfig, outdir) -> dict:
 
 def cmd_qk(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
-    fam = build_Qk(cfg.p, cfg.k, spec)
+    try:
+        fam = build_Qk(cfg.p, cfg.k, spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     report = qk_audit(fam, spec)
     save_scalar_csv(fam.field, str(outdir / "qk_field.csv"), cfg.v_preset)
     save_field_json(str(outdir / "qk_field.json"), "qk_field.csv", "scalar",

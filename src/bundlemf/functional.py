@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .bundle import Connection, KernelBasis, bundle_energy, kernel_basis, pcg
-from .geometry import (
-    ScalarField,
-    TorusGrid,
-    drop_nyquist,
-    flat_laplacian_raw,
-    invert_flat_shifted,
+from .bundle import (
+    Connection,
+    KernelBasis,
+    bundle_energy,
+    bundle_laplacian_raw,
+    kernel_basis,
+    pcg,
 )
+from .geometry import ScalarField, TorusGrid, drop_nyquist, invert_flat_shifted
 
 EXP_GUARD = 700.0
 RHO_CRITICAL = 8.0 * np.pi
@@ -112,7 +114,7 @@ def evaluate_J(u: ScalarField, spec: ProblemSpec) -> float:
 def _raw_residual(u: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
     """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|), plus log mu."""
     g = spec.grid
-    lap = flat_laplacian_raw(u, g) / g.exp2v + spec.conn.potential.values * u
+    lap = bundle_laplacian_raw(u, spec.conn, g)
     log_mu, shift, w = log_mass(u, spec)
     density = w * np.exp(shift - log_mu)  # h e^u / mu, evaluated stably
     r = lap - spec.rho * (density - 1.0 / g.total_area)
@@ -127,13 +129,10 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     the bundle Laplacian annihilates tau1.
     """
     _guard(u.values)
-    g = spec.grid
+    area = spec.grid.area_element
     r, _ = _raw_residual(u.values, spec)
-    if spec.kb.dim == 0:
-        return ScalarField(r), 0.0
-    t = spec.kb.tau1.values
-    coef = float(np.sum(r * t * g.area_element))
-    return ScalarField(r - coef * t), -coef
+    coef = spec.kb.component(r, area)
+    return ScalarField(spec.kb.project(r, area)), 0.0 - coef   # never -0.0
 
 
 def minimize(spec: ProblemSpec, init: ScalarField | None = None,
@@ -158,13 +157,8 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         init = ScalarField(np.zeros((g.n, g.n)))
     _guard(init.values)
 
-    t1 = spec.kb.tau1.values if spec.kb.dim == 1 else None
     area = g.area_element
-
-    def project(z: np.ndarray) -> np.ndarray:
-        if t1 is None:
-            return z
-        return z - np.sum(z * t1 * area) * t1
+    project = partial(spec.kb.project, weights=area)
 
     # iterates live in the Nyquist-free subspace, where the discrete energy
     # is definite; see geometry.drop_nyquist
@@ -259,7 +253,7 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
     W = w * np.exp(shift - log_mu)  # h e^u / mu
 
     def hess(phi: np.ndarray) -> np.ndarray:
-        lin = flat_laplacian_raw(phi, g) / g.exp2v + spec.conn.potential.values * phi
+        lin = bundle_laplacian_raw(phi, spec.conn, g)
         wphi = float(np.sum(W * phi * area))
         return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
 

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 from scipy.integrate import quad
 
-from .bundle import pcg, require_converged, solve_symmetrized, tau1_deflation
+from .bundle import pcg, require_converged, solve_symmetrized
 from .functional import ProblemSpec
 from .geometry import ScalarField, solve_flat_poisson_raw, torus_distance
 
@@ -146,7 +146,7 @@ def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarra
     def precond(z):
         return np.fft.irfft2(np.fft.rfft2(z) / (sym + 1.0), s=z.shape)
 
-    x, info = pcg(apply, b, precond=precond, project=tau1_deflation(spec.kb))
+    x, info = pcg(apply, b, precond=precond, project=spec.kb.project)
     require_converged(info, "finite-difference Green PCG")
     return x
 
@@ -195,37 +195,26 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     mass_rest = (s.sum() - s[i, j]) * g.h**2
     s[i, j] = (_radial_moment(r0, "log", 0) - mass_rest) / g.h**2
 
-    V = spec.conn.potential.values
+    kb = spec.kb
     area = g.area_element
-    if spec.kb.dim == 1:
-        t1 = spec.kb.tau1.values
+    f = m / g.exp2v - 8.0 * np.pi / g.total_area - spec.conn.potential.values * s
+    lambda1 = 0.0
+    if kb.dim == 1:
+        t1 = kb.tau1.values
         lambda1 = 8.0 * np.pi * (t1[i, j] - np.sum(t1 * area) / g.total_area)
-    else:
-        t1 = None
-        lambda1 = 0.0
-
-    f = m / g.exp2v - 8.0 * np.pi / g.total_area - V * s
-    if t1 is not None:
         f = f - lambda1 * t1
-        residual = float(np.sum(f * t1 * area))
-        if abs(residual) > solvability_tol:
-            raise SolvabilityError(
-                f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
-                "the multiplier and the discretization are inconsistent")
-        f = f - residual * t1
-    else:
-        residual = 0.0
+    residual = kb.component(f, area)
+    if abs(residual) > solvability_tol:
+        raise SolvabilityError(
+            f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
+            "the multiplier and the discretization are inconsistent")
 
-    w = _solve_smooth(f, spec, backend)
+    w = _solve_smooth(kb.project(f, area), spec, backend)
 
     vp = float(g.v.values[i, j])
     B = s + w
     B[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
-    if t1 is not None:
-        shift = -float(np.sum(B * t1 * area))
-        G = B + shift * t1
-    else:
-        G = B
+    G = kb.project(B, area)
     A_p = float(G[i, j])
     mean_G = float(np.sum(G * area))
 
@@ -234,7 +223,7 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
 
     return GreenData(p=(i, j), G=ScalarField(G), eta=ScalarField(eta), A_p=A_p,
                      lambda1=float(lambda1), meanG=mean_G,
-                     residual=abs(float(residual)), backend=backend)
+                     residual=abs(residual), backend=backend)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
 from .bundle import bundle_energy, project_H1
 from .functional import EXP_GUARD, ProblemSpec, evaluate_J, log_mass
-from .geometry import ScalarField, TorusGrid, l2_inner, torus_distance
+from .geometry import ScalarField, TorusGrid, torus_distance
 from .green import GreenData, critical_value, solve_green
 
 
@@ -161,29 +160,15 @@ def annulus_capacity_numeric(a: float, b: float, r_in: float, r_out: float,
                              nodes: int = 10_000) -> float:
     """Same quantity from a radial two-point boundary value problem.
 
-    Piecewise-linear finite elements on a uniform radial grid; the stiffness
-    system (r u')' = 0 is tridiagonal and solved directly, and the reported
-    value is the discrete Dirichlet energy of the solution.
+    Piecewise-linear finite elements on a uniform radial grid: the elements
+    of (r u')' = 0 are conductances in series, so the discrete Dirichlet
+    energy of the solution is (a - b)^2 / sum(1 / conductance).
     """
     if not (0.0 < r_in < r_out):
         raise ValueError(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
     r = np.linspace(r_in, r_out, nodes)
-    dr = np.diff(r)
-    rm = 0.5 * (r[:-1] + r[1:])
-    cond = 2.0 * np.pi * rm / dr          # element conductances
-    # interior equations: cond[i-1](u_i - u_{i-1}) = cond[i](u_{i+1} - u_i)
-    diag = cond[:-1] + cond[1:]
-    rhs = np.zeros(nodes - 2)
-    rhs[0] += cond[0] * a
-    rhs[-1] += cond[-1] * b
-    ab = np.zeros((3, nodes - 2))
-    ab[0, 1:] = -cond[1:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = -cond[1:-1]
-    u = np.empty(nodes)
-    u[0], u[-1] = a, b
-    u[1:-1] = solve_banded((1, 1), ab, rhs)
-    return float(np.sum(cond * np.diff(u) ** 2))
+    cond = np.pi * (r[:-1] + r[1:]) / np.diff(r)   # element conductances 2 pi r_mid / dr
+    return float((a - b) ** 2 / np.sum(1.0 / cond))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +198,17 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     transition annulus, the Green scalar outside; the matching constant c
     makes the profile continuous across r = R/k by construction.
 
-    The ramp annulus reaches r = 2R/k = 2/sqrt(k), which stays inside the
-    injectivity radius 1/2 of the unit torus only for k >= 16; for
-    8 <= k < 16 the section is built but crosses the cut locus.
+    k must be at least 16: the ramp annulus reaches r = 2R/k = 2/sqrt(k),
+    which stays inside the injectivity radius 1/2 of the unit torus only
+    for k >= 16 (below it the gap to Lambda(p) is erratic).
 
     Two grid guards: the cap radius R/k >= 8h, and the bubble core
     sqrt(8)/k >= 2h, i.e. k <= sqrt(2) n; past the latter the measured
     energy remainder k (E - E_closed)/pi leaves its ~256 plateau.
     """
-    if k < 8:
-        raise ValueError("k must be at least 8")
+    if k < 16:
+        raise ValueError(f"k = {k} < 16: the ramp annulus r <= 2/sqrt(k) would cross"
+                         " the injectivity radius 1/2 of the torus")
     g = spec.grid
     R = float(np.sqrt(k))
     if R / k < 8.0 * g.h:
@@ -241,11 +227,10 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     q = np.where(r <= R / k,
                  bubble_cap(c, k, r),
                  gd.G.values - ramp * gd.eta.values)
-    q_raw = ScalarField(q)
-    shift = l2_inner(q_raw, spec.kb.tau1, g) if spec.kb.dim == 1 else 0.0
-    proj = project_H1(q_raw, spec.kb, g)
-    return QkFamily(p=(i, j), k=k, R=R, c=c, field=proj, q_raw=q_raw,
-                    greendata=gd, shift=float(shift))
+    return QkFamily(p=(i, j), k=k, R=R, c=c,
+                    field=ScalarField(spec.kb.project(q, g.area_element)),
+                    q_raw=ScalarField(q), greendata=gd,
+                    shift=spec.kb.component(q, g.area_element))
 
 
 def _qk_ramp(r: np.ndarray, a: float) -> np.ndarray:

@@ -114,6 +114,27 @@ class TestProjection:
         u = random_band_limited(grid64, rng)
         assert project_H1(u, kb, grid64) is u
 
+    @given(kind=st.sampled_from(["zero", "exact", "harmonic"]), amp=st.floats(-1.0, 1.0),
+           a=st.floats(0.5, 10.0), b=st.floats(-10.0, 10.0), conformal=st.booleans(),
+           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_kernel_basis_methods(self, grid32, kind, amp, a, b, conformal, weighted,
+                                  seed):
+        grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
+        conn = (zero_connection(grid) if kind == "zero"
+                else df_connection(grid, amp) if kind == "exact"
+                else harmonic_connection(grid, a, b))
+        kb = kernel_basis(conn, grid)
+        w = grid.area_element if weighted else None
+        z = random_band_limited(grid, np.random.default_rng(seed)).values
+        pz = kb.project(z, w)
+        if kb.dim == 0:
+            assert pz is z
+            assert kb.component(z, w) == 0.0
+        else:
+            assert abs(kb.component(pz, w)) <= 1e-12
+            assert np.max(np.abs(kb.project(pz, w) - pz)) <= 1e-12
+            assert kb.component(kb.tau1.values, w) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestBundleOperators:
     def test_constant_zero_energy(self, grid64):

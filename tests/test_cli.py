@@ -145,6 +145,20 @@ class TestExitCodes:
     def test_non_finite_value(self, tmp_path, args):
         assert run(tmp_path, ["minimize", "--n", "32"] + args) == 2
 
+    @pytest.mark.parametrize("argv, config", [
+        (["qk", "--n", "64", "--k", "4"], None),
+        (["qk", "--n", "64", "--k", "10000"], None),
+        (["sweep", "--n", "16", "--kmax", "0"], None),
+        (["moser"], {"delta": 0.3}),
+    ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3"])
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "range.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert run(tmp_path, argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_non_finite_config_value(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"n": 32, "tol": NaN, "delta": Infinity}')

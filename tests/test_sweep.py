@@ -104,7 +104,7 @@ def injected_records():
     from bundlemf.green import solve_green
 
     gd = solve_green((n // 2, n // 2), spec)
-    for k in (8, 16, 32, 64):
+    for k in (16, 32, 64, 128):
         rho_k = 8 * np.pi - 1.0 / k
         fam = build_Qk((n // 2, n // 2), k, spec, gd)
         records.append(record_from_state(fam.field, rho_k, spec))

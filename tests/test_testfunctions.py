@@ -186,9 +186,11 @@ class TestQk:
         with pytest.raises(ValueError, match="bubble core"):
             build_Qk((0, 0), 512, spec256)
 
-    def test_rejects_small_k(self, spec256):
-        with pytest.raises(ValueError):
-            build_Qk((0, 0), 4, spec256)
+    @pytest.mark.parametrize("k", [4, 8, 15])
+    def test_rejects_small_k(self, spec256, k):
+        # below k = 16 the ramp annulus 2/sqrt(k) crosses the injectivity radius
+        with pytest.raises(ValueError, match="injectivity radius"):
+            build_Qk((0, 0), k, spec256)
 
     def test_audit_reports_all_quantities(self, spec256):
         rep = qk_audit(build_Qk((0, 0), 32, spec256), spec256)
@@ -198,7 +200,7 @@ class TestQk:
             assert np.isfinite(rep[key])
 
     def test_gap_sequence_shares_green_solve(self, spec256):
-        out = qk_gap_sequence((0, 0), (8, 16, 32), spec256)
+        out = qk_gap_sequence((0, 0), (16, 32, 64), spec256)
         assert len(out["reports"]) == 3
         assert np.isfinite(out["extrapolated"])
 
