@@ -20,9 +20,11 @@ from .geometry import (
     curl,
     drop_nyquist,
     exterior_derivative,
+    flat_laplacian_plus,
     flat_laplacian_raw,
     invert_flat_shifted,
     oneform_norm_field,
+    primitive,
     solve_flat_poisson_raw,
 )
 
@@ -104,14 +106,7 @@ def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
     period2 = float(np.mean(w.c2))
     if curl_inf > eps or abs(period1) > eps or abs(period2) > eps:
         return KernelBasis(dim=0)
-    # primitive of w by least squares in Fourier space, zero-mean gauge
-    c1h = np.fft.rfft2(w.c1)
-    c2h = np.fft.rfft2(w.c2)
-    num = -1j * (grid.kx * c1h + grid.ky * c2h)
-    ok = grid.k2 > 0.0
-    fh = np.zeros_like(num)
-    fh[ok] = num[ok] / grid.k2[ok]
-    f = ScalarField(np.fft.irfft2(fh, s=w.c1.shape))
+    f = primitive(w, grid)
     tau = np.exp(-f.values)
     tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
     return KernelBasis(dim=1, tau1=ScalarField(tau), f=f)
@@ -218,7 +213,8 @@ def require_converged(info: PCGInfo, what: str) -> None:
 
 def symmetrized_apply(conn: Connection, grid: TorusGrid):
     """p -> (Delta_flat + e^{2v} V) p with the Nyquist modes dropped: the
-    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian.
+    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian, in
+    3 FFTs by geometry.flat_laplacian_plus.
 
     See geometry.drop_nyquist: the spectral symbol has no stiffness on the
     Nyquist modes, where a partly negative potential would be indefinite.
@@ -226,7 +222,7 @@ def symmetrized_apply(conn: Connection, grid: TorusGrid):
     RSS of a 1024^2 Green solve by one field (8 MB).
     """
     V = conn.potential.values
-    return lambda p: drop_nyquist(flat_laplacian_raw(p, grid) + grid.exp2v * V * p, grid)
+    return lambda p: flat_laplacian_plus(p, grid.exp2v * V * p, grid)
 
 
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,

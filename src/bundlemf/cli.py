@@ -14,19 +14,20 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bundle import ConvergenceError, EigensolveError, kernel_basis, make_connection
+from .bundle import ConvergenceError, EigensolveError, make_connection
 from .functional import (
     ExponentOverflowError,
     ProblemSpec,
     SolverOptions,
     evaluate_J,
     log_mass,
+    make_problem,
     minimize,
 )
 from .geometry import build_grid, integrate, l2_inner, laplacian, random_band_limited
@@ -40,9 +41,6 @@ from .presets import (
 )
 from .sweep import blowup_diagnostics, record_from_state, subcritical_sweep
 from .testfunctions import bubble_checks, build_Qk, moser_family, qk_audit, tm_probe
-
-COMMANDS = ("minimize", "sweep", "green", "critmap", "moser", "bubble", "qk",
-            "reduce-check")
 
 
 class UsageError(ValueError):
@@ -78,6 +76,30 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
+BACKENDS = ("spectral", "fd")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite int or float (an int past the float range is not)."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+# what each RunConfig field must be: (test, description for the error)
+_FIELD_CHECKS = {
+    **dict.fromkeys(("n", "max_iter", "kmax", "stride", "k"), (_is_int, "an integer")),
+    "seed": (lambda x: _is_int(x) and x >= 0, "an integer >= 0"),
+    **dict.fromkeys(("v_preset", "connection", "h_preset", "out"),
+                    (lambda x: isinstance(x, str), "a string")),
+    **dict.fromkeys(("rho", "alpha", "delta"), (_is_number, "a finite number")),
+    "tol": (lambda x: x is None or _is_number(x), "a finite number"),
+    "backend": (lambda x: x in BACKENDS, f"one of {BACKENDS}"),
+    "p": (lambda x: isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x)),
+          "a pair of integers"),
+}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -96,30 +118,20 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    if "p" in data and not isinstance(data["p"], tuple):
-        data["p"] = tuple(int(t) for t in data["p"])
-    try:
-        cfg = RunConfig(**data)
-    except TypeError as exc:
-        raise UsageError(f"bad config: {exc}") from exc
-    for key in ("rho", "alpha", "delta", "tol"):
-        val = getattr(cfg, key)
-        if val is not None and not (isinstance(val, (int, float)) and np.isfinite(val)):
-            raise UsageError(f"{key} must be a finite number, got {val!r}")
-    return cfg
+    cfg = RunConfig(**data)
+    for key, (ok, what) in _FIELD_CHECKS.items():
+        if not ok(getattr(cfg, key)):
+            raise UsageError(f"{key} must be {what}, got {getattr(cfg, key)!r}")
+    return replace(cfg, p=tuple(cfg.p))
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
     try:
         grid = build_grid(cfg.n, make_v_field(cfg.v_preset, cfg.n))
         conn = make_connection(make_connection_form(cfg.connection, grid), grid)
-        h = make_h_field(cfg.h_preset, cfg.n)
+        return make_problem(grid, conn, make_h_field(cfg.h_preset, cfg.n), cfg.rho)
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
-    if h.values.min() <= 0.0:
-        raise UsageError("h preset must yield a strictly positive field")
-    return ProblemSpec(grid=grid, conn=conn, kb=kernel_basis(conn, grid),
-                       hweight=h, rho=cfg.rho)
 
 
 def solver_options(cfg: RunConfig) -> SolverOptions:
@@ -171,7 +183,6 @@ def write_summary(outdir, command: str, cfg: RunConfig, payload: dict,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": _sanitize(payload),
     }
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{command.replace('-', '_')}_summary.json"
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -327,22 +338,18 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one command, write its artifacts, return the process exit code."""
     t0 = time.time()
     outdir = Path(cfg.out)
-    if command not in _HANDLERS:
-        print(f"error: unknown command {command!r}", file=sys.stderr)
-        return 2
     try:
-        payload = _HANDLERS[command](cfg, _ensure_dir(outdir))
+        if command not in _HANDLERS:
+            raise UsageError(f"unknown command {command!r}")
+        outdir.mkdir(parents=True, exist_ok=True)
+        payload = _HANDLERS[command](cfg, outdir)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        write_summary(outdir, command, cfg, {**exc.payload, "error": str(exc)},
-                      "error", t0)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
-    except (ExponentOverflowError, SolvabilityError, EigensolveError,
-            ConvergenceError) as exc:
-        write_summary(outdir, command, cfg, {"error": str(exc)}, "error", t0)
+    except (NumericalFailure, ExponentOverflowError, SolvabilityError,
+            EigensolveError, ConvergenceError) as exc:
+        payload = {**getattr(exc, "payload", {}), "error": str(exc)}
+        write_summary(outdir, command, cfg, payload, "error", t0)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     path = write_summary(outdir, command, cfg, payload, "ok", t0)
@@ -350,17 +357,11 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     return 0
 
 
-def _ensure_dir(outdir):
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
-
-
-def _parse_p(text: str) -> tuple[int, int]:
+def _parse_p(text: str) -> tuple[int, ...]:
     try:
-        i, j = (int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--p expects 'i,j', got {text!r}") from exc
-    return (i, j)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -371,7 +372,7 @@ def make_parser() -> argparse.ArgumentParser:
         epilog="Config keys and defaults: " + ", ".join(
             f"{k}={getattr(RunConfig(), k)!r}" for k in sorted(_CONFIG_KEYS)),
     )
-    ap.add_argument("command", choices=COMMANDS)
+    ap.add_argument("command", choices=tuple(_HANDLERS))
     ap.add_argument("--config", help="JSON config file")
     ap.add_argument("--out", help="output directory")
     ap.add_argument("--seed", type=int, help="RNG seed")
@@ -385,7 +386,7 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--connection", help="connection preset")
     ap.add_argument("--h-preset", dest="h_preset", help="weight preset")
     ap.add_argument("--v-preset", dest="v_preset", help="conformal factor preset")
-    ap.add_argument("--backend", choices=("spectral", "fd"))
+    ap.add_argument("--backend", choices=BACKENDS)
     return ap
 
 
@@ -396,13 +397,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
-    if overrides.get("p") is not None:
-        try:
-            overrides["p"] = _parse_p(overrides["p"])
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
+        if overrides.get("p") is not None:
+            overrides["p"] = _parse_p(overrides["p"])
         cfg = load_config(args.config, overrides)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -118,6 +118,7 @@ class TorusGrid:
     kx: np.ndarray                # (n, 1) derivative wavenumbers, Nyquist zeroed
     ky: np.ndarray                # (1, n//2+1) rfft layout, Nyquist zeroed
     k2: np.ndarray                # kx^2 + ky^2 in rfft layout
+    mask: np.ndarray              # 0 on the Nyquist row and column, else 1
     x: np.ndarray                 # node coordinates along one axis
 
     @property
@@ -153,12 +154,10 @@ def build_grid(n: int, v=None) -> TorusGrid:
         raise ValueError(f"conformal exponent has size {vfield.n}, expected {n}")
 
     area = np.exp(2.0 * vfield.values) * h**2
-    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    kx[n // 2] = 0.0
-    ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)
-    ky[-1] = 0.0
-    kx = kx[:, None]
-    ky = ky[None, :]
+    nyq = n // 2                  # Nyquist row, and the last rfft column
+    mask = np.outer(np.arange(n) != nyq, np.arange(nyq + 1) != nyq).astype(float)
+    kx = 2.0 * np.pi * np.fft.fftfreq(n, d=h)[:, None] * mask[:, :1]
+    ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)[None, :] * mask[:1, :]
     return TorusGrid(
         n=n,
         h=h,
@@ -168,6 +167,7 @@ def build_grid(n: int, v=None) -> TorusGrid:
         kx=_readonly(kx),
         ky=_readonly(ky),
         k2=_readonly(kx**2 + ky**2),
+        mask=_readonly(mask),
         x=_readonly(x),
     )
 
@@ -210,12 +210,17 @@ def oneform_norm_field(a: OneForm, grid: TorusGrid) -> ScalarField:
 # spectral calculus
 # ---------------------------------------------------------------------------
 
-def _dx(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.irfft2(1j * grid.kx * np.fft.rfft2(u), s=u.shape)
+def fourier_multiply(u: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier `symbol`, an array in the rfft2 layout of
+    TorusGrid.k2, applied to a real array: one FFT pair, multiplied in place."""
+    uh = np.fft.rfft2(u)
+    uh *= symbol
+    return np.fft.irfft2(uh, s=u.shape)
 
 
-def _dy(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.fft.irfft2(1j * grid.ky * np.fft.rfft2(u), s=u.shape)
+def pseudo_inverse(symbol: np.ndarray) -> np.ndarray:
+    """1 / symbol where it is positive, 0 on its zero modes."""
+    return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
 
 
 def exterior_derivative(u: ScalarField, grid: TorusGrid) -> OneForm:
@@ -231,38 +236,51 @@ def exterior_derivative(u: ScalarField, grid: TorusGrid) -> OneForm:
 def codifferential(a: OneForm, grid: TorusGrid) -> ScalarField:
     """d* a = -e^{-2v} (d1 a1 + d2 a2) on the conformal torus."""
     _check_shape(a, grid)
-    div = _dx(a.c1, grid) + _dy(a.c2, grid)
+    div = fourier_multiply(a.c1, 1j * grid.kx) + fourier_multiply(a.c2, 1j * grid.ky)
     return ScalarField(-div / grid.exp2v)
 
 
 def laplacian(u: ScalarField, grid: TorusGrid) -> ScalarField:
     """Positive Laplacian Delta_g u = d* du = -e^{-2v} Delta_flat u."""
     _check_shape(u, grid)
-    uh = np.fft.rfft2(u.values)
-    flat = np.fft.irfft2(grid.k2 * uh, s=u.values.shape)
-    return ScalarField(flat / grid.exp2v)
+    return ScalarField(flat_laplacian_raw(u.values, grid) / grid.exp2v)
 
 
 def curl(a: OneForm, grid: TorusGrid) -> ScalarField:
     """Scalar exterior derivative d(a) = d1 a2 - d2 a1 (flat components)."""
     _check_shape(a, grid)
-    return ScalarField(_dx(a.c2, grid) - _dy(a.c1, grid))
+    return ScalarField(fourier_multiply(a.c2, 1j * grid.kx)
+                       - fourier_multiply(a.c1, 1j * grid.ky))
+
+
+def primitive(a: OneForm, grid: TorusGrid) -> ScalarField:
+    """Least-squares primitive f of a 1-form (df = a when a is exact), in the
+    zero-mean gauge: 3 FFTs."""
+    _check_shape(a, grid)
+    num = -1j * (grid.kx * np.fft.rfft2(a.c1) + grid.ky * np.fft.rfft2(a.c2))
+    return ScalarField(np.fft.irfft2(num * pseudo_inverse(grid.k2), s=a.c1.shape))
 
 
 def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Positive flat Laplacian on a raw array (internal helper)."""
-    return np.fft.irfft2(grid.k2 * np.fft.rfft2(u), s=u.shape)
+    return fourier_multiply(u, grid.k2)
+
+
+def flat_laplacian_plus(p: np.ndarray, q: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """drop_nyquist(flat_laplacian_raw(p) + q) with the mask folded into the
+    symbol: 3 FFTs instead of 4, summed in place."""
+    sh = np.fft.rfft2(q)
+    del q                         # frees a caller's temporary: Green PCGs peak here
+    sh += grid.k2 * np.fft.rfft2(p)
+    sh *= grid.mask
+    return np.fft.irfft2(sh, s=p.shape)
 
 
 def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
     preconditioner of every spectral Krylov solve and of the eigen-solve
     (see drop_nyquist)."""
-    uh = np.fft.rfft2(u)
-    uh /= grid.k2 + 1.0
-    uh[grid.n // 2, :] = 0.0
-    uh[:, -1] = 0.0
-    return np.fft.irfft2(uh, s=u.shape)
+    return fourier_multiply(u, grid.mask / (grid.k2 + 1.0))
 
 
 def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -272,26 +290,24 @@ def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     discrete Dirichlet energy; any optimization over fields must stay in this
     filtered subspace or the functional is unbounded below along them.
     """
-    uh = np.fft.rfft2(u)
-    uh[grid.n // 2, :] = 0.0
-    uh[:, -1] = 0.0
-    return np.fft.irfft2(uh, s=u.shape)
+    return fourier_multiply(u, grid.mask)
 
 
-def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid,
-                           symbol: np.ndarray | None = None) -> np.ndarray:
+def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Solve positive flat Laplacian w = f with zero-mean gauge.
 
     The flat mean of f must vanish; the mean component is simply dropped,
-    which the callers guarantee by projection.  `symbol` replaces the
-    spectral one (grid.k2) in rfft layout; its zero modes are dropped too.
+    which the callers guarantee by projection.
     """
-    sym = grid.k2 if symbol is None else symbol
-    fh = np.fft.rfft2(f)
-    ok = sym > 0.0
-    wh = np.zeros_like(fh)
-    wh[ok] = fh[ok] / sym[ok]
-    return np.fft.irfft2(wh, s=f.shape)
+    return fourier_multiply(f, pseudo_inverse(grid.k2))
+
+
+def five_point_symbol(grid: TorusGrid) -> np.ndarray:
+    """Symbol of the positive 5-point Laplacian (4 u - neighbours) / h^2;
+    unlike grid.k2 it is positive on the Nyquist modes."""
+    j = np.fft.fftfreq(grid.n) * grid.n
+    lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.h**2
+    return lam[:, None] + lam[None, : grid.n // 2 + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ from scipy.integrate import quad
 
 from .bundle import pcg, require_converged, solve_symmetrized
 from .functional import ProblemSpec
-from .geometry import ScalarField, solve_flat_poisson_raw, torus_distance
+from .geometry import (
+    ScalarField,
+    five_point_symbol,
+    fourier_multiply,
+    pseudo_inverse,
+    torus_distance,
+)
 
 CUTOFF_RADIUS = 0.125
 CUTOFF_ORDER = 8  # smoothness class of the radial ramp
@@ -116,12 +122,6 @@ def _commutator_field(r: np.ndarray, r0: float) -> np.ndarray:
 # backends for the smooth solve
 # ---------------------------------------------------------------------------
 
-def _fd_symbol(grid) -> np.ndarray:
-    j = np.fft.fftfreq(grid.n) * grid.n
-    lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.h**2
-    return lam[:, None] + lam[None, : grid.n // 2 + 1]
-
-
 def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarray:
     """Solve (Delta_g + V) w = rhs for w orthogonal to the kernel.
 
@@ -134,19 +134,18 @@ def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarra
     b = g.exp2v * rhs
     if backend == "spectral":
         return solve_symmetrized(b, spec.conn, g, spec.kb)
-    sym = _fd_symbol(g)
+    sym = five_point_symbol(g)
     V = spec.conn.potential.values
     if not V.any():
-        return solve_flat_poisson_raw(b - b.mean(), g, symbol=sym)
+        return fourier_multiply(b - b.mean(), pseudo_inverse(sym))
 
     def apply(z):
         return (4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
                 - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2 + g.exp2v * V * z
 
-    def precond(z):
-        return np.fft.irfft2(np.fft.rfft2(z) / (sym + 1.0), s=z.shape)
-
-    x, info = pcg(apply, b, precond=precond, project=spec.kb.project)
+    shifted = 1.0 / (sym + 1.0)
+    x, info = pcg(apply, b, precond=lambda z: fourier_multiply(z, shifted),
+                  project=spec.kb.project)
     require_converged(info, "finite-difference Green PCG")
     return x
 

@@ -19,8 +19,9 @@ import numpy as np
 from .geometry import OneForm, ScalarField, TorusGrid, exterior_derivative
 
 
-def _axis(n: int) -> np.ndarray:
-    return np.arange(n) / n
+def _cos_x(amp: float, n: int) -> np.ndarray:
+    """amp cos(2 pi x) at the grid nodes, as an (n, 1) column."""
+    return amp * np.cos(2.0 * np.pi * (np.arange(n) / n))[:, None]
 
 
 def make_v_field(preset: str, n: int) -> ScalarField:
@@ -30,8 +31,7 @@ def make_v_field(preset: str, n: int) -> ScalarField:
         amp = 0.1
         if ":" in preset:
             amp = float(preset.split(":", 1)[1])
-        x = _axis(n)
-        return ScalarField(amp * np.cos(2.0 * np.pi * x)[:, None] * np.ones((1, n)))
+        return ScalarField(_cos_x(amp, n) * np.ones((1, n)))
     if preset.startswith("custom-file:"):
         return load_scalar_csv(preset.split(":", 1)[1], expected_n=n)
     raise ValueError(f"unknown v preset {preset!r}")
@@ -47,9 +47,7 @@ def make_connection_form(preset: str, grid: TorusGrid) -> OneForm:
         return OneForm(np.full((n, n), a), np.full((n, n), b))
     if preset.startswith("exact:cos-x:"):
         amp = float(preset.split(":")[2])
-        x = _axis(n)
-        f = ScalarField(amp * np.cos(2.0 * np.pi * x)[:, None] * np.ones((1, n)))
-        return exterior_derivative(f, grid)
+        return exterior_derivative(ScalarField(_cos_x(amp, n) * np.ones((1, n))), grid)
     if preset.startswith("file:"):
         return load_oneform_csv(preset.split(":", 1)[1], expected_n=n)
     raise ValueError(f"unknown connection preset {preset!r}")
@@ -60,9 +58,7 @@ def make_h_field(preset: str, n: int) -> ScalarField:
         return ScalarField(np.ones((n, n)))
     if preset.startswith("exp-cos:"):
         amp = float(preset.split(":", 1)[1])
-        x = _axis(n)
-        h = np.exp(amp * np.cos(2.0 * np.pi * x))[:, None] * np.ones((1, n))
-        return ScalarField(h)
+        return ScalarField(np.exp(_cos_x(amp, n)) * np.ones((1, n)))
     if preset.startswith("file:"):
         h = load_scalar_csv(preset.split(":", 1)[1], expected_n=n)
         if h.values.min() <= 0.0:
@@ -75,46 +71,41 @@ def make_h_field(preset: str, n: int) -> ScalarField:
 # CSV / JSON field serialization
 # ---------------------------------------------------------------------------
 
-def save_scalar_csv(field: ScalarField, path: str, v_preset: str = "zero") -> None:
+def _save_csv(path: str, n: int, v_preset: str, payload: np.ndarray) -> None:
     with open(path, "w") as fh:
-        fh.write("n,v-preset\n")
-        fh.write(f"{field.n},{v_preset}\n")
-        np.savetxt(fh, field.values, delimiter=",", fmt="%.17g")
+        fh.write(f"n,v-preset\n{n},{v_preset}\n")
+        np.savetxt(fh, payload, delimiter=",", fmt="%.17g")
+
+
+def _load_csv(path: str, components: int, kind: str, expected_n: int | None) -> np.ndarray:
+    """Payload of a field CSV: `components` n x n blocks stacked by rows."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "n,v-preset":
+            raise ValueError(f"{path}: expected header 'n,v-preset', got {header!r}")
+        n = int(fh.readline().split(",")[0])
+        vals = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if vals.shape != (components * n, n):
+        raise ValueError(f"{path}: payload shape {vals.shape} does not match n={n}")
+    if expected_n is not None and n != expected_n:
+        raise ValueError(f"{path}: {kind} size {n} does not match grid size {expected_n}")
+    return vals
+
+
+def save_scalar_csv(field: ScalarField, path: str, v_preset: str = "zero") -> None:
+    _save_csv(path, field.n, v_preset, field.values)
 
 
 def load_scalar_csv(path: str, expected_n: int | None = None) -> ScalarField:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,v-preset":
-            raise ValueError(f"{path}: expected header 'n,v-preset', got {header!r}")
-        n = int(fh.readline().split(",")[0])
-        vals = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if vals.shape != (n, n):
-        raise ValueError(f"{path}: payload shape {vals.shape} does not match n={n}")
-    if expected_n is not None and n != expected_n:
-        raise ValueError(f"{path}: field size {n} does not match grid size {expected_n}")
-    return ScalarField(vals)
+    return ScalarField(_load_csv(path, 1, "field", expected_n))
 
 
 def save_oneform_csv(form: OneForm, path: str, v_preset: str = "zero") -> None:
-    with open(path, "w") as fh:
-        fh.write("n,v-preset\n")
-        fh.write(f"{form.n},{v_preset}\n")
-        np.savetxt(fh, np.vstack([form.c1, form.c2]), delimiter=",", fmt="%.17g")
+    _save_csv(path, form.n, v_preset, np.vstack([form.c1, form.c2]))
 
 
 def load_oneform_csv(path: str, expected_n: int | None = None) -> OneForm:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "n,v-preset":
-            raise ValueError(f"{path}: expected header 'n,v-preset', got {header!r}")
-        n = int(fh.readline().split(",")[0])
-        vals = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if vals.shape != (2 * n, n):
-        raise ValueError(f"{path}: payload shape {vals.shape} does not match n={n}")
-    if expected_n is not None and n != expected_n:
-        raise ValueError(f"{path}: form size {n} does not match grid size {expected_n}")
-    return OneForm(vals[:n], vals[n:])
+    return OneForm(*np.split(_load_csv(path, 2, "form", expected_n), 2))
 
 
 def save_field_json(path_json: str, path_csv: str, kind: str, n: int, v_preset: str) -> None:

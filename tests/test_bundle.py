@@ -25,8 +25,9 @@ from bundlemf.bundle import (
     pcg,
     smallest_eigenvalue,
     solve_bundle_poisson,
+    symmetrized_apply,
 )
-from bundlemf.geometry import drop_nyquist, random_band_limited
+from bundlemf.geometry import drop_nyquist, flat_laplacian_raw, random_band_limited
 
 from conftest import (
     axis,
@@ -186,6 +187,27 @@ class TestBundleOperators:
             a = l2_inner(bundle_laplacian(u, conn, grid64), w, grid64)
             b = l2_inner(u, bundle_laplacian(w, conn, grid64), grid64)
             assert abs(a - b) < 1e-9 * max(1.0, abs(a))
+
+    @given(kind=st.sampled_from(["zero", "exact", "harmonic"]), conformal=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_folded_operator(self, grid32, kind, conformal, seed):
+        """symmetrized_apply K, with the Nyquist mask folded into its symbol,
+        is flat-self-adjoint, Nyquist-free, and equals the unfolded
+        drop_nyquist(Delta_flat p + e^{2v} V p)."""
+        grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
+        make = {"zero": zero_connection, "exact": df_connection,
+                "harmonic": harmonic_connection}[kind]
+        conn = make(grid)
+        K = symmetrized_apply(conn, grid)
+        rng = np.random.default_rng(seed)
+        p, q = (drop_nyquist(rng.standard_normal((32, 32)), grid) for _ in range(2))
+        Kp, Kq = K(p), K(q)
+        scale = np.linalg.norm(Kp) * np.linalg.norm(q)
+        assert abs(np.vdot(Kp, q) - np.vdot(p, Kq)) <= 1e-10 * scale
+        assert np.max(np.abs(drop_nyquist(Kp, grid) - Kp)) <= 1e-12 * np.max(np.abs(Kp))
+        unfolded = drop_nyquist(flat_laplacian_raw(p, grid)
+                                + grid.exp2v * conn.potential.values * p, grid)
+        assert np.max(np.abs(Kp - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
 
     def test_potential_recomputable(self, grid64):
         from bundlemf.geometry import codifferential, oneform_norm_field

@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bundlemf import bundle, green
 from bundlemf.cli import RunConfig, config_hash, load_config, main
@@ -150,14 +153,30 @@ class TestExitCodes:
         (["qk", "--n", "64", "--k", "10000"], None),
         (["sweep", "--n", "16", "--kmax", "0"], None),
         (["moser"], {"delta": 0.3}),
-    ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3"])
+        (["green", "--n", "16"], {"p": 5}),
+        (["green", "--n", "16"], {"p": [1]}),
+        (["green", "--n", "16"], {"p": [1, 2, 3]}),
+        (["green", "--n", "16"], {"p": [1.5, 2]}),
+        (["green", "--n", "16"], {"connection": 5}),
+        (["green", "--n", "16"], {"backend": "gpu"}),
+        (["minimize", "--n", "16"], {"seed": -1}),
+        (["minimize", "--n", "16", "--seed", "-1"], None),
+        (["green", "--n", "16", "--p", "1,2,3"], None),
+        (["minimize"], {"n": 16.0}),
+        (["minimize", "--n", "16"], {"max_iter": True}),
+        (["minimize", "--n", "16"], {"v_preset": None}),
+    ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3", "p-int", "p-short",
+            "p-long", "p-float", "connection-int", "backend-gpu", "seed-negative",
+            "cli-seed-negative", "cli-p-long", "n-float", "max_iter-bool", "v_preset-null"])
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "range.json"
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         assert run(tmp_path, argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_non_finite_config_value(self, tmp_path):
         cfg = tmp_path / "nan.json"
@@ -214,27 +233,49 @@ class TestDeterminism:
         assert s1["config_hash"] != s2["config_hash"]
 
 
+def stacked_fields(components):
+    """(components, n, n) arrays of any finite doubles, n in {16, 32}."""
+    return st.sampled_from([16, 32]).flatmap(lambda n: hnp.arrays(
+        np.float64, (components, n, n),
+        elements=st.floats(allow_nan=False, allow_infinity=False)))
+
+
+def extremes(components):
+    """Largest, smallest and subnormal doubles of both signs, tiled."""
+    vals = np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324,
+                     np.finfo(float).tiny, -1e300, 0.1, -2.0 / 3.0])
+    return np.resize(vals, (components, 16, 16))
+
+
+# tmp_path is shared by the examples; each one overwrites the same file
+roundtrip = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
 class TestFieldIO:
-    def test_scalar_roundtrip(self, tmp_path):
+    @roundtrip
+    @given(a=stacked_fields(1))
+    @example(a=extremes(1))
+    def test_scalar_roundtrip(self, tmp_path, a):
         from bundlemf import ScalarField
         from bundlemf.presets import load_scalar_csv, save_scalar_csv
 
-        rng = np.random.default_rng(5)
-        u = ScalarField(rng.standard_normal((32, 32)))
+        u = ScalarField(a[0])
         path = tmp_path / "field.csv"
         save_scalar_csv(u, str(path), "zero")
-        back = load_scalar_csv(str(path))
+        back = load_scalar_csv(str(path), expected_n=u.n)
         assert np.array_equal(back.values, u.values)
 
-    def test_oneform_roundtrip(self, tmp_path):
+    @roundtrip
+    @given(a=stacked_fields(2))
+    @example(a=extremes(2))
+    def test_oneform_roundtrip(self, tmp_path, a):
         from bundlemf import OneForm
         from bundlemf.presets import load_oneform_csv, save_oneform_csv
 
-        rng = np.random.default_rng(6)
-        w = OneForm(rng.standard_normal((32, 32)), rng.standard_normal((32, 32)))
+        w = OneForm(a[0], a[1])
         path = tmp_path / "form.csv"
         save_oneform_csv(w, str(path))
-        back = load_oneform_csv(str(path))
+        back = load_oneform_csv(str(path), expected_n=w.n)
         assert np.array_equal(back.c1, w.c1)
         assert np.array_equal(back.c2, w.c2)
 

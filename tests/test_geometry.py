@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bundlemf
 from bundlemf import (
     OneForm,
     ScalarField,
@@ -216,3 +220,43 @@ class TestInvariants:
                    lambda f: exterior_derivative(f, grid64).c1,
                    lambda f: exterior_derivative(f, grid64).c2):
             assert np.max(np.abs(op(shifted) - np.roll(op(u), 1, axis=0))) < 1e-11
+
+
+def fft_uses(tree: ast.Module):
+    """(top-level definition or None, line) of every reference to an FFT
+    module: an attribute named fft, or an import of one."""
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "fft":
+                hit = True
+            elif isinstance(node, ast.ImportFrom):
+                mod = node.module or ""
+                hit = mod.endswith(".fft") or any(a.name == "fft" for a in node.names)
+            elif isinstance(node, ast.Import):
+                hit = any(a.name.endswith(".fft") for a in node.names)
+            else:
+                hit = False
+            if hit:
+                yield owner, node.lineno
+
+
+class TestLayering:
+    def test_only_geometry_calls_fft(self):
+        """geometry alone knows the rfft2 layout and the Nyquist mask; the one
+        exception is sweep.window_profile, which evaluates the full-FFT
+        trigonometric interpolant at off-grid points."""
+        allowed = {("sweep", "window_profile")}
+        offenders = []
+        for path in sorted(Path(bundlemf.__file__).parent.glob("*.py")):
+            if path.stem == "geometry":
+                continue
+            for owner, line in fft_uses(ast.parse(path.read_text())):
+                if (path.stem, owner) not in allowed:
+                    offenders.append(f"{path.name}:{line} ({owner})")
+        assert not offenders, "FFT outside geometry: " + ", ".join(offenders)
+
+    def test_fft_uses_finds_each_form(self):
+        src = ("import numpy.fft\nfrom numpy import fft\nfrom scipy.fft import rfft2\n"
+               "def f(u):\n    return np.fft.rfft2(u)\n")
+        assert list(fft_uses(ast.parse(src))) == [(None, 1), (None, 2), (None, 3), ("f", 5)]
