@@ -47,8 +47,8 @@ class Connection:
 
 
 def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
-    pot = oneform_norm_field(omega, grid) + codifferential(omega, grid)
-    return Connection(omega=omega, potential=pot)
+    pot = oneform_norm_field(omega, grid).values + codifferential(omega, grid).values
+    return Connection(omega=omega, potential=ScalarField(pot))
 
 
 @dataclass(frozen=True)

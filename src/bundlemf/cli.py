@@ -126,10 +126,19 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
+    """The problem the presets describe.  numpy overflow raises instead of
+    warning, and is reported as a usage error naming the preset at fault."""
+    preset = cfg.v_preset
     try:
-        grid = build_grid(cfg.n, make_v_field(cfg.v_preset, cfg.n))
-        conn = make_connection(make_connection_form(cfg.connection, grid), grid)
-        return make_problem(grid, conn, make_h_field(cfg.h_preset, cfg.n), cfg.rho)
+        with np.errstate(over="raise", invalid="raise"):
+            grid = build_grid(cfg.n, make_v_field(cfg.v_preset, cfg.n))
+            preset = cfg.h_preset
+            hweight = make_h_field(cfg.h_preset, cfg.n)
+            preset = cfg.connection          # the kernel basis exponentiates it
+            conn = make_connection(make_connection_form(cfg.connection, grid), grid)
+            return make_problem(grid, conn, hweight, cfg.rho)
+    except FloatingPointError as exc:
+        raise UsageError(f"preset {preset!r} leaves the floating-point range: {exc}") from exc
     except (ValueError, OSError) as exc:
         raise UsageError(str(exc)) from exc
 

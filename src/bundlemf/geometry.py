@@ -21,7 +21,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Node-sampled periodic real field on an n x n torus grid."""
+    """Node-sampled periodic real field on an n x n torus grid.
+
+    A validated, read-only container: arithmetic is done on `.values`."""
 
     values: np.ndarray
 
@@ -37,36 +39,11 @@ class ScalarField:
     def n(self) -> int:
         return self.values.shape[0]
 
-    def __add__(self, other):
-        return ScalarField(self.values + _vals(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ScalarField(self.values - _vals(other))
-
-    def __rsub__(self, other):
-        return ScalarField(_vals(other) - self.values)
-
-    def __mul__(self, other):
-        return ScalarField(self.values * _vals(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return ScalarField(self.values / _vals(other))
-
-    def __neg__(self):
-        return ScalarField(-self.values)
-
-
-def _vals(x):
-    return x.values if isinstance(x, ScalarField) else x
-
 
 @dataclass(frozen=True)
 class OneForm:
-    """Periodic 1-form c1 dx + c2 dy given by two component fields."""
+    """Periodic 1-form c1 dx + c2 dy given by two component fields (a
+    validated, read-only container, like ScalarField)."""
 
     c1: np.ndarray
     c2: np.ndarray
@@ -84,20 +61,6 @@ class OneForm:
     @property
     def n(self) -> int:
         return self.c1.shape[0]
-
-    def __add__(self, other):
-        return OneForm(self.c1 + other.c1, self.c2 + other.c2)
-
-    def __sub__(self, other):
-        return OneForm(self.c1 - other.c1, self.c2 - other.c2)
-
-    def __mul__(self, a):
-        return OneForm(self.c1 * _vals(a), self.c2 * _vals(a))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OneForm(-self.c1, -self.c2)
 
 
 @dataclass(frozen=True)
@@ -133,8 +96,7 @@ class TorusGrid:
 def build_grid(n: int, v=None) -> TorusGrid:
     """Build the periodic torus grid; n must be a power of two, n >= 16.
 
-    v may be a ScalarField, an (n, n) array, a preset name handled by
-    presets.make_v_field, or None for the flat torus.
+    v may be a ScalarField, an (n, n) array, or None for the flat torus.
     """
     if n < 16 or (n & (n - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= 16, got {n}")
@@ -142,10 +104,6 @@ def build_grid(n: int, v=None) -> TorusGrid:
     x = np.arange(n) * h
     if v is None:
         vfield = ScalarField(np.zeros((n, n)))
-    elif isinstance(v, str):
-        from .presets import make_v_field
-
-        vfield = make_v_field(v, n)
     elif isinstance(v, ScalarField):
         vfield = v
     else:

@@ -18,6 +18,7 @@ finite-difference one, used to cross-validate A_p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -68,13 +69,15 @@ _STEP1 = _STEP.deriv()
 _STEP2 = _STEP.deriv(2)
 
 
-def cutoff(r: np.ndarray, r0: float = CUTOFF_RADIUS) -> np.ndarray:
-    """Radial ramp: 1 for r <= r0, 0 for r >= 2 r0, C^8 in between."""
+def cutoff(r: np.ndarray) -> np.ndarray:
+    """Radial ramp: 1 for r <= r0 = CUTOFF_RADIUS, 0 for r >= 2 r0, C^8 in between."""
+    r0 = CUTOFF_RADIUS
     t = np.clip((np.asarray(r, dtype=float) - r0) / r0, 0.0, 1.0)
     return 1.0 - _STEP(t)
 
 
-def _cutoff_derivs(r: np.ndarray, r0: float):
+def _cutoff_derivs(r: np.ndarray):
+    r0 = CUTOFF_RADIUS
     t = (r - r0) / r0
     inside = (t > 0.0) & (t < 1.0)
     c1 = np.zeros_like(r)
@@ -84,35 +87,31 @@ def _cutoff_derivs(r: np.ndarray, r0: float):
     return c1, c2
 
 
-_MOMENT_CACHE: dict[tuple[float, str, int], float] = {}
-
-
-def _radial_moment(r0: float, kind: str, order: int) -> float:
-    """Exact flat integral of the log field or the commutator field times
-    r^order, by adaptive 1-D quadrature (cached)."""
-    key = (r0, kind, order)
-    if key not in _MOMENT_CACHE:
-        if kind == "log":
-            def f(t):
-                return -4.0 * cutoff(np.array([t]), r0)[0] * np.log(t)
-        elif kind == "commutator":
-            def f(t):
-                return _commutator_field(np.array([t]), r0)[0]
-        else:
-            raise ValueError(kind)
+@cache
+def _radial_moments() -> tuple[float, float, float]:
+    """Exact flat integrals of the log field times r^0 and r^2, and of the
+    commutator field times r^2, by adaptive 1-D quadrature."""
+    def moment(f, order):
         val, _ = quad(lambda t: f(t) * t**order * 2.0 * np.pi * t,
-                      0.0, 2.0 * r0, limit=200)
-        _MOMENT_CACHE[key] = val
-    return _MOMENT_CACHE[key]
+                      0.0, 2.0 * CUTOFF_RADIUS, limit=200)
+        return val
+
+    def log_field(t):
+        return -4.0 * cutoff(np.array([t]))[0] * np.log(t)
+
+    def commutator(t):
+        return _commutator_field(np.array([t]))[0]
+
+    return moment(log_field, 0), moment(log_field, 2), moment(commutator, 2)
 
 
-def _commutator_field(r: np.ndarray, r0: float) -> np.ndarray:
+def _commutator_field(r: np.ndarray) -> np.ndarray:
     """Smooth part m of Delta_flat(-4 chi log r) = -8 pi delta + m.
 
     Supported on the ramp annulus; normalized afterwards so its discrete
     flat integral is exactly 8 pi, which the continuum identity requires.
     """
-    c1, c2 = _cutoff_derivs(r, r0)
+    c1, c2 = _cutoff_derivs(r)
     rr = np.where(r > 0.0, r, 1.0)
     L = np.log(rr)
     return -4.0 * (c2 * L + c1 * L / rr + 2.0 * c1 / rr)
@@ -155,8 +154,7 @@ def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
-                solvability_tol: float = 1e-8,
-                r0: float = CUTOFF_RADIUS) -> GreenData:
+                solvability_tol: float = 1e-8) -> GreenData:
     """Green section at grid node p = (i, j)."""
     g = spec.grid
     if float(p[0]) != int(p[0]) or float(p[1]) != int(p[1]):
@@ -173,26 +171,27 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     # the commutator field match the continuum (8 pi and its r^2 moment), so
     # the solvability pairing against any smooth section is exact through
     # the quadratic term of its Taylor expansion at p
-    m = _commutator_field(r, r0)
+    log0, log2, commutator2 = _radial_moments()
+    m = _commutator_field(r)
     mom = np.array([m.sum(), (m * r**2).sum()]) * g.h**2
     cross = np.array([(m * r**2).sum(), (m * r**4).sum()]) * g.h**2
     coeff = np.linalg.solve(np.array([[mom[0], cross[0]], [mom[1], cross[1]]]),
-                            np.array([8.0 * np.pi, _radial_moment(r0, "commutator", 2)]))
+                            np.array([8.0 * np.pi, commutator2]))
     m = coeff[0] * m + coeff[1] * (r**2 * m)
 
     # same treatment for the log field: the singular node carries the mass
     # defect and its 4-neighbour shell the second-moment defect
-    s = -4.0 * cutoff(r, r0) * L
+    s = -4.0 * cutoff(r) * L
     shell = [((i + 1) % g.n, j), ((i - 1) % g.n, j),
              ((i, (j + 1) % g.n)), ((i, (j - 1) % g.n))]
     m2_s = float(sum(s[a, b] for a, b in shell)) * g.h**2 * g.h**2
     m2_rest = float((s * r**2).sum()) * g.h**2 - m2_s
-    d_shell = (_radial_moment(r0, "log", 2) - m2_rest) / (4.0 * g.h**4) \
+    d_shell = (log2 - m2_rest) / (4.0 * g.h**4) \
         - float(np.mean([s[a, b] for a, b in shell]))
     for a, b in shell:
         s[a, b] += d_shell
     mass_rest = (s.sum() - s[i, j]) * g.h**2
-    s[i, j] = (_radial_moment(r0, "log", 0) - mass_rest) / g.h**2
+    s[i, j] = (log0 - mass_rest) / g.h**2
 
     kb = spec.kb
     area = g.area_element

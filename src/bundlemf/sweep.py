@@ -130,12 +130,11 @@ def window_profile(rec: SweepRecord, spec: ProblemSpec, half_width: float = 16.0
     return RescaledProfile(y=y, phi=phi, psi=psi, r_scale=rec.r_scale, c=rec.c)
 
 
-def concentration_mass(rec: SweepRecord, spec: ProblemSpec,
-                       radius_factor: float = 16.0) -> float:
+def concentration_mass(rec: SweepRecord, spec: ProblemSpec) -> float:
     """int_{B_{16 r_k}(x_k)} h e^u / mu dv_g, the local share of the density."""
     g = spec.grid
     r = torus_distance(g, rec.x)
-    mask = r <= radius_factor * rec.r_scale
+    mask = r <= 16.0 * rec.r_scale
     w = log_mass(rec.u.values, spec)[2] * g.area_element
     return float(np.sum(w[mask]) / np.sum(w))
 

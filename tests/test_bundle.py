@@ -28,6 +28,7 @@ from bundlemf.bundle import (
     symmetrized_apply,
 )
 from bundlemf.geometry import drop_nyquist, flat_laplacian_raw, random_band_limited
+from bundlemf.presets import make_v_field
 
 from conftest import (
     axis,
@@ -213,9 +214,9 @@ class TestBundleOperators:
         from bundlemf.geometry import codifferential, oneform_norm_field
 
         conn = df_connection(grid64, 0.25)
-        recomputed = (oneform_norm_field(conn.omega, grid64)
-                      + codifferential(conn.omega, grid64))
-        assert np.max(np.abs(conn.potential.values - recomputed.values)) < 1e-12
+        recomputed = (oneform_norm_field(conn.omega, grid64).values
+                      + codifferential(conn.omega, grid64).values)
+        assert np.max(np.abs(conn.potential.values - recomputed)) < 1e-12
 
 
 class TestPCG:
@@ -265,7 +266,7 @@ class TestPoincare:
         # metric, whose e^{2v} x has Nyquist modes the residual must drop
         rough = 0.3 * np.random.default_rng(0).standard_normal((32, 32))
         for v, conn_of, dim in ((None, lambda g: harmonic_connection(g, 2 * np.pi, 0.0), 0),
-                                ("cos-x:0.3", df_connection, 1),
+                                (make_v_field("cos-x:0.3", 32), df_connection, 1),
                                 (rough, lambda g: harmonic_connection(g, 1.0, 2.0), 0)):
             grid = build_grid(32, v)
             conn = conn_of(grid)

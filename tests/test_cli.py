@@ -7,8 +7,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bundlemf import bundle, green
+from bundlemf import ScalarField, build_grid, bundle, green
 from bundlemf.cli import RunConfig, config_hash, load_config, main
+from bundlemf.presets import (
+    make_connection_form,
+    make_h_field,
+    make_v_field,
+    save_oneform_csv,
+    save_scalar_csv,
+)
 
 VOLATILE = ("wall_time_s", "timestamp")
 
@@ -165,9 +172,19 @@ class TestExitCodes:
         (["minimize"], {"n": 16.0}),
         (["minimize", "--n", "16"], {"max_iter": True}),
         (["minimize", "--n", "16"], {"v_preset": None}),
+        (["minimize", "--n", "16", "--h-preset", "exp-cos:-1000"], None),
+        (["minimize", "--n", "16", "--v-preset", "cos-x:400"], None),
+        (["minimize", "--n", "16", "--v-preset", "cos-x:-400"], None),
+        (["minimize", "--n", "16", "--connection", "harmonic:1e200,0"], None),
+        (["minimize", "--n", "16", "--connection", "exact:cos-x:1e200"], None),
+        (["minimize", "--n", "16", "--connection", "bogus"], None),
+        (["minimize", "--n", "16", "--h-preset", "bogus"], None),
+        (["minimize", "--n", "16", "--v-preset", "bogus"], None),
     ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3", "p-int", "p-short",
             "p-long", "p-float", "connection-int", "backend-gpu", "seed-negative",
-            "cli-seed-negative", "cli-p-long", "n-float", "max_iter-bool", "v_preset-null"])
+            "cli-seed-negative", "cli-p-long", "n-float", "max_iter-bool", "v_preset-null",
+            "h-overflow", "v-overflow", "v-overflow-negative", "harmonic-overflow",
+            "exact-overflow", "connection-unknown", "h-unknown", "v-unknown"])
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "range.json"
@@ -177,11 +194,46 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert "Warning" not in err
+        for flag, value in zip(argv, argv[1:]):
+            if flag in ("--v-preset", "--connection", "--h-preset"):
+                assert repr(value) in err          # the message names the preset
 
     def test_non_finite_config_value(self, tmp_path):
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"n": 32, "tol": NaN, "delta": Infinity}')
         assert main(["minimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+class TestFilePresets:
+    def test_file_presets_match_builtins(self, tmp_path):
+        # the CSV round trip is exact (%.17g), so fields read back from files
+        # must give the built-in presets' results bit for bit
+        n = 32
+        v = make_v_field("cos-x:0.05", n)
+        save_scalar_csv(v, str(tmp_path / "v.csv"))
+        save_oneform_csv(make_connection_form("exact:cos-x:0.3", build_grid(n, v)),
+                         str(tmp_path / "w.csv"))
+        save_scalar_csv(make_h_field("exp-cos:1.0", n), str(tmp_path / "h.csv"))
+        results = []
+        for name, presets in (("builtin", ("cos-x:0.05", "exact:cos-x:0.3", "exp-cos:1.0")),
+                              ("file", (f"custom-file:{tmp_path / 'v.csv'}",
+                                        f"file:{tmp_path / 'w.csv'}",
+                                        f"file:{tmp_path / 'h.csv'}"))):
+            out = tmp_path / name
+            argv = ["minimize", "--n", str(n), "--v-preset", presets[0],
+                    "--connection", presets[1], "--h-preset", presets[2]]
+            assert run(out, argv) == 0
+            results.append(read_summary(out, "minimize")["results"])
+        assert results[0] == results[1]
+
+    def test_h_file_with_zero_is_usage_error(self, tmp_path, capsys):
+        h = np.ones((16, 16))
+        h[3, 5] = 0.0
+        save_scalar_csv(ScalarField(h), str(tmp_path / "h.csv"))
+        assert run(tmp_path, ["minimize", "--n", "16",
+                              "--h-preset", f"file:{tmp_path / 'h.csv'}"]) == 2
+        assert "strictly positive" in capsys.readouterr().err
 
 
 class TestConfig:

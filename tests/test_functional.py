@@ -205,6 +205,16 @@ class TestMinimize:
         assert not res.converged
         assert res.iterations == 3
         assert np.isfinite(res.jvalue)
+        # at tol 1e-14 the residual reaches its ~2e-13 roundoff floor after
+        # a few steps, and accepted steps then raise it again (2.09e-13 at
+        # max_iter 6, 2.93e-13 at 7): only the restore of the best iterate
+        # keeps the returned residual from increasing with max_iter
+        spec = build_problem(RunConfig(n=32, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:1.0"))
+        init = random_band_limited(spec.grid, np.random.default_rng(0), amplitude=0.8)
+        residuals = [minimize(spec, init, SolverOptions(tol=1e-14, max_iter=m)).residual
+                     for m in range(1, 9)]
+        assert all(b <= a for a, b in zip(residuals, residuals[1:])), residuals
 
 
 def tau1_projection(spec):

@@ -241,6 +241,26 @@ def fft_uses(tree: ast.Module):
                 yield owner, node.lineno
 
 
+def imported_names(tree: ast.Module):
+    """(dotted name, line) of every import anywhere in tree, nested ones too:
+    `from m import a` yields m.a, and relative imports resolve against the
+    bundlemf package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level:
+                mod = "bundlemf." + mod if mod else "bundlemf"
+            for alias in node.names:
+                yield f"{mod}.{alias.name}", node.lineno
+
+
+def package_sources():
+    return sorted(Path(bundlemf.__file__).parent.glob("*.py"))
+
+
 class TestLayering:
     def test_only_geometry_calls_fft(self):
         """geometry alone knows the rfft2 layout and the Nyquist mask; the one
@@ -248,7 +268,7 @@ class TestLayering:
         trigonometric interpolant at off-grid points."""
         allowed = {("sweep", "window_profile")}
         offenders = []
-        for path in sorted(Path(bundlemf.__file__).parent.glob("*.py")):
+        for path in package_sources():
             if path.stem == "geometry":
                 continue
             for owner, line in fft_uses(ast.parse(path.read_text())):
@@ -260,3 +280,26 @@ class TestLayering:
         src = ("import numpy.fft\nfrom numpy import fft\nfrom scipy.fft import rfft2\n"
                "def f(u):\n    return np.fft.rfft2(u)\n")
         assert list(fft_uses(ast.parse(src))) == [(None, 1), (None, 2), (None, 3), ("f", 5)]
+
+    def test_geometry_imports_no_package_module(self):
+        """geometry is the bottom layer: it imports nothing from bundlemf."""
+        tree = ast.parse((Path(bundlemf.__file__).parent / "geometry.py").read_text())
+        upward = [f"{name} (line {line})" for name, line in imported_names(tree)
+                  if name == "bundlemf" or name.startswith("bundlemf.")]
+        assert not upward, "geometry imports " + ", ".join(upward)
+
+    def test_only_green_imports_scipy(self):
+        """green's three radial moments are the one scipy computation; the
+        CLI's bare `import scipy` for the summary's version key is allowed."""
+        offenders = [f"{path.name}:{line} ({name})"
+                     for path in package_sources() if path.stem != "green"
+                     for name, line in imported_names(ast.parse(path.read_text()))
+                     if name.startswith("scipy.")]
+        assert not offenders, "scipy outside green: " + ", ".join(offenders)
+
+    def test_imported_names_finds_each_form(self):
+        src = ("import scipy\nfrom scipy.integrate import quad\nfrom . import presets\n"
+               "def f():\n    from .presets import make_v_field\n")
+        assert list(imported_names(ast.parse(src))) == [
+            ("scipy", 1), ("scipy.integrate.quad", 2), ("bundlemf.presets", 3),
+            ("bundlemf.presets.make_v_field", 5)]

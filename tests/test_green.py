@@ -13,6 +13,7 @@ from bundlemf import (
 )
 from bundlemf.geometry import build_grid, random_band_limited, torus_distance
 from bundlemf.green import SolvabilityError
+from bundlemf.presets import make_v_field
 
 from conftest import df_connection, ones_field, zero_connection
 
@@ -87,7 +88,7 @@ class TestBackends:
         # conformal factor and exact connection together: both backends, the
         # multiplier formula, orthogonality and the solvability contract
         n = 256
-        g = build_grid(n, "cos-x:0.1")
+        g = build_grid(n, make_v_field("cos-x:0.1", n))
         spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
         gd = solve_green((31, 77), spec)
         gd_fd = solve_green((31, 77), spec, backend="fd")
@@ -126,7 +127,7 @@ class TestLocalExpansion:
         # G + 4 log(e^{v(p)} r) must approach the reported A_p
         diffs = {}
         for n in (128, 256):
-            g = build_grid(n, "cos-x:0.1")
+            g = build_grid(n, make_v_field("cos-x:0.1", n))
             spec = make_problem(g, zero_connection(g), ones_field(n), RHO8)
             p = (n // 8, n // 3)
             gd = solve_green(p, spec)
