@@ -22,10 +22,14 @@ from .geometry import (
     exterior_derivative,
     flat_laplacian_plus,
     flat_laplacian_raw,
+    from_spectral,
     invert_flat_shifted,
     oneform_norm_field,
     primitive,
     solve_flat_poisson_raw,
+    spectral_inner,
+    spectral_laplacian_plus,
+    to_spectral,
 )
 
 
@@ -213,33 +217,51 @@ def require_converged(info: PCGInfo, what: str) -> None:
 
 def symmetrized_apply(conn: Connection, grid: TorusGrid):
     """p -> (Delta_flat + e^{2v} V) p with the Nyquist modes dropped: the
-    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian, in
-    3 FFTs by geometry.flat_laplacian_plus.
+    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian on
+    real arrays, in 3 FFTs by geometry.flat_laplacian_plus: the eigen-solve's
+    operator.  solve_symmetrized applies the same operator to Fourier
+    coefficients, by geometry.spectral_laplacian_plus.
 
     See geometry.drop_nyquist: the spectral symbol has no stiffness on the
     Nyquist modes, where a partly negative potential would be indefinite.
-    e^{2v} V is formed per apply: storing it for the solve raised the peak
-    RSS of a 1024^2 Green solve by one field (8 MB).
     """
     V = conn.potential.values
-    return lambda p: flat_laplacian_plus(p, grid.exp2v * V * p, grid)
+    return lambda p: flat_laplacian_plus(p, V, grid)
 
 
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
                       kb: KernelBasis, tol: float = PCG_TOL,
                       max_iter: int = PCG_MAX_ITER) -> np.ndarray:
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
-    complement: directly when V = 0, else by PCG on `symmetrized_apply`
-    preconditioned with the Nyquist-free exact inverse of (Delta_flat + 1);
-    raises ConvergenceError short of tol.
+    complement: directly when V = 0, else by PCG in Fourier space (Boyd,
+    Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15); raises
+    ConvergenceError short of tol.
+
+    The Krylov vectors are Nyquist-free rfft2 coefficients: b is transformed
+    once, each step applies geometry.spectral_laplacian_plus (one FFT pair)
+    and the diagonal preconditioner grid.shifted_inverse, inner products are
+    Parseval's, tau1 is deflated by its masked transform, and x is
+    transformed back once.
     """
-    if not conn.potential.values.any():
+    V = conn.potential.values
+    if not V.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
-    x, info = pcg(symmetrized_apply(conn, grid), drop_nyquist(b, grid),
-                  precond=lambda r: invert_flat_shifted(r, grid),
-                  project=kb.project, tol=tol, max_iter=max_iter)
+    if kb.dim == 1:
+        T = to_spectral(kb.tau1.values, grid)
+        tt = spectral_inner(T, T)
+
+        def project(Z):            # in place: pcg projects only its own temporaries
+            Z -= (spectral_inner(Z, T) / tt) * T
+            return Z
+    else:
+        def project(Z):
+            return Z
+
+    X, info = pcg(lambda P: spectral_laplacian_plus(P, V, grid), to_spectral(b, grid),
+                  precond=lambda R: grid.shifted_inverse * R, project=project,
+                  inner=spectral_inner, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
-    return x
+    return from_spectral(X, grid)
 
 
 def solve_bundle_poisson(rhs: ScalarField, conn: Connection, grid: TorusGrid,

@@ -207,7 +207,11 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     init = random_band_limited(spec.grid, rng, amplitude=0.1)
-    res = minimize(spec, init, solver_options(cfg))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            res = minimize(spec, init, solver_options(cfg))
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"minimization left the floating-point range: {exc}") from exc
     save_scalar_csv(res.u, str(outdir / "minimizer.csv"), cfg.v_preset)
     save_field_json(str(outdir / "minimizer.json"), "minimizer.csv", "scalar",
                     cfg.n, cfg.v_preset)

@@ -82,6 +82,7 @@ class TorusGrid:
     ky: np.ndarray                # (1, n//2+1) rfft layout, Nyquist zeroed
     k2: np.ndarray                # kx^2 + ky^2 in rfft layout
     mask: np.ndarray              # 0 on the Nyquist row and column, else 1
+    shifted_inverse: np.ndarray   # mask / (k2 + 1): the Nyquist-free (Delta_flat + 1)^{-1}
     x: np.ndarray                 # node coordinates along one axis
 
     @property
@@ -116,6 +117,7 @@ def build_grid(n: int, v=None) -> TorusGrid:
     mask = np.outer(np.arange(n) != nyq, np.arange(nyq + 1) != nyq).astype(float)
     kx = 2.0 * np.pi * np.fft.fftfreq(n, d=h)[:, None] * mask[:, :1]
     ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=h)[None, :] * mask[:1, :]
+    k2 = kx**2 + ky**2
     return TorusGrid(
         n=n,
         h=h,
@@ -124,8 +126,9 @@ def build_grid(n: int, v=None) -> TorusGrid:
         total_area=float(area.sum()),
         kx=_readonly(kx),
         ky=_readonly(ky),
-        k2=_readonly(kx**2 + ky**2),
+        k2=_readonly(k2),
         mask=_readonly(mask),
+        shifted_inverse=_readonly(mask / (k2 + 1.0)),
         x=_readonly(x),
     )
 
@@ -224,21 +227,61 @@ def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return fourier_multiply(u, grid.k2)
 
 
-def flat_laplacian_plus(p: np.ndarray, q: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """drop_nyquist(flat_laplacian_raw(p) + q) with the mask folded into the
-    symbol: 3 FFTs instead of 4, summed in place."""
-    sh = np.fft.rfft2(q)
-    del q                         # frees a caller's temporary: Green PCGs peak here
-    sh += grid.k2 * np.fft.rfft2(p)
+def _fold_k2(sh: np.ndarray, P: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """mask (sh + k2 P), in place in sh: the folded symbol of both
+    flat_laplacian_plus and spectral_laplacian_plus."""
+    sh += grid.k2 * P
     sh *= grid.mask
-    return np.fft.irfft2(sh, s=p.shape)
+    return sh
+
+
+def flat_laplacian_plus(p: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """drop_nyquist(flat_laplacian_raw(p) + e^{2v} V p) with the mask folded
+    into the symbol: 3 FFTs instead of 4."""
+    sh = np.fft.rfft2(grid.exp2v * V * p)
+    return np.fft.irfft2(_fold_k2(sh, np.fft.rfft2(p), grid), s=p.shape)
+
+
+def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """flat_laplacian_plus on Nyquist-free rfft2 coefficients P, returning
+    coefficients: one FFT pair.  e^{2v} h^2 V (grid.area_element and V)
+    multiplies in place and 1/h^2 = n^2, a power of two and so exact, scales
+    the spectral result: grid.exp2v would allocate a field per call, and the
+    memory peak of a Green solve is in this apply."""
+    q = np.fft.irfft2(P, s=(grid.n, grid.n))
+    q *= grid.area_element
+    q *= V
+    sh = np.fft.rfft2(q)
+    del q
+    sh *= grid.n**2
+    return _fold_k2(sh, P, grid)
+
+
+def to_spectral(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The masked transform: Nyquist-free rfft2 coefficients of a real array."""
+    uh = np.fft.rfft2(u)
+    uh *= grid.mask
+    return uh
+
+
+def from_spectral(uh: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """The real array with rfft2 coefficients uh."""
+    return np.fft.irfft2(uh, s=(grid.n, grid.n))
+
+
+def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """Parseval on the rfft2 layout: n^2 times the Euclidean inner product of
+    the real arrays with Nyquist-free coefficients a and b (weight 1 on
+    column 0, 2 on the inner columns)."""
+    return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
 
 
 def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
-    preconditioner of every spectral Krylov solve and of the eigen-solve
-    (see drop_nyquist)."""
-    return fourier_multiply(u, grid.mask / (grid.k2 + 1.0))
+    preconditioner of the Newton PCG and of the eigen-solve (see
+    drop_nyquist); the bundle Poisson PCG multiplies its coefficients by
+    grid.shifted_inverse directly."""
+    return fourier_multiply(u, grid.shifted_inverse)
 
 
 def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:

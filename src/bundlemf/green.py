@@ -207,7 +207,9 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
             f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
             "the multiplier and the discretization are inconsistent")
 
-    w = _solve_smooth(kb.project(f, area), spec, backend)
+    f = kb.project(f, area)
+    del r, rr, m                          # the smooth solve is the memory peak
+    w = _solve_smooth(f, spec, backend)
 
     vp = float(g.v.values[i, j])
     B = s + w

@@ -24,13 +24,23 @@ def _cos_x(amp: float, n: int) -> np.ndarray:
     return amp * np.cos(2.0 * np.pi * (np.arange(n) / n))[:, None]
 
 
+def _number(preset: str, text: str) -> float:
+    """The finite float `text` read from `preset`; a ValueError naming the
+    preset otherwise."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = np.nan
+    if not np.isfinite(x):
+        raise ValueError(f"preset {preset!r}: {text!r} is not a finite number")
+    return x
+
+
 def make_v_field(preset: str, n: int) -> ScalarField:
     if preset == "zero":
         return ScalarField(np.zeros((n, n)))
-    if preset.startswith("cos-x"):
-        amp = 0.1
-        if ":" in preset:
-            amp = float(preset.split(":", 1)[1])
+    if preset == "cos-x" or preset.startswith("cos-x:"):
+        amp = 0.1 if preset == "cos-x" else _number(preset, preset.split(":", 1)[1])
         return ScalarField(_cos_x(amp, n) * np.ones((1, n)))
     if preset.startswith("custom-file:"):
         return load_scalar_csv(preset.split(":", 1)[1], expected_n=n)
@@ -43,10 +53,13 @@ def make_connection_form(preset: str, grid: TorusGrid) -> OneForm:
         z = np.zeros((n, n))
         return OneForm(z, z)
     if preset.startswith("harmonic:"):
-        a, b = (float(t) for t in preset.split(":", 1)[1].split(","))
+        ab = preset.split(":", 1)[1].split(",")
+        if len(ab) != 2:
+            raise ValueError(f"preset {preset!r}: expected 'harmonic:a,b'")
+        a, b = (_number(preset, t) for t in ab)
         return OneForm(np.full((n, n), a), np.full((n, n), b))
     if preset.startswith("exact:cos-x:"):
-        amp = float(preset.split(":")[2])
+        amp = _number(preset, preset.split(":", 2)[2])
         return exterior_derivative(ScalarField(_cos_x(amp, n) * np.ones((1, n))), grid)
     if preset.startswith("file:"):
         return load_oneform_csv(preset.split(":", 1)[1], expected_n=n)
@@ -57,7 +70,7 @@ def make_h_field(preset: str, n: int) -> ScalarField:
     if preset == "one":
         return ScalarField(np.ones((n, n)))
     if preset.startswith("exp-cos:"):
-        amp = float(preset.split(":", 1)[1])
+        amp = _number(preset, preset.split(":", 1)[1])
         return ScalarField(np.exp(_cos_x(amp, n)) * np.ones((1, n)))
     if preset.startswith("file:"):
         h = load_scalar_csv(preset.split(":", 1)[1], expected_n=n)
@@ -83,8 +96,11 @@ def _load_csv(path: str, components: int, kind: str, expected_n: int | None) -> 
         header = fh.readline().strip()
         if header != "n,v-preset":
             raise ValueError(f"{path}: expected header 'n,v-preset', got {header!r}")
-        n = int(fh.readline().split(",")[0])
-        vals = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            n = int(fh.readline().split(",")[0])
+            vals = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if vals.shape != (components * n, n):
         raise ValueError(f"{path}: payload shape {vals.shape} does not match n={n}")
     if expected_n is not None and n != expected_n:

@@ -18,6 +18,7 @@ from bundlemf import (
     poincare_constant,
     project_H1,
 )
+from bundlemf import bundle
 from bundlemf.bundle import (
     ConvergenceError,
     EigensolveError,
@@ -25,9 +26,16 @@ from bundlemf.bundle import (
     pcg,
     smallest_eigenvalue,
     solve_bundle_poisson,
+    solve_symmetrized,
     symmetrized_apply,
 )
-from bundlemf.geometry import drop_nyquist, flat_laplacian_raw, random_band_limited
+from bundlemf.geometry import (
+    drop_nyquist,
+    flat_laplacian_raw,
+    random_band_limited,
+    spectral_inner,
+    to_spectral,
+)
 from bundlemf.presets import make_v_field
 
 from conftest import (
@@ -251,6 +259,64 @@ class TestPCG:
         rhs = project_H1(random_band_limited(grid32, np.random.default_rng(1)), kb, grid32)
         with pytest.raises(ConvergenceError):
             solve_bundle_poisson(rhs, conn, grid32, kb, max_iter=1)
+
+
+class TestSpectralPCG:
+    """solve_symmetrized runs its PCG on Nyquist-free rfft2 coefficients."""
+
+    @given(n=st.sampled_from([16, 32]), seed=st.integers(0, 2**32 - 1))
+    def test_parseval(self, n, seed):
+        grid = build_grid(n)
+        rng = np.random.default_rng(seed)
+        a, b = (drop_nyquist(rng.standard_normal((n, n)), grid) for _ in range(2))
+        A, B = to_spectral(a, grid), to_spectral(b, grid)
+        scale = n**2 * np.linalg.norm(a) * np.linalg.norm(b)
+        assert abs(spectral_inner(A, B) - n**2 * np.sum(a * b)) <= 1e-12 * scale
+        assert abs(spectral_inner(A, A) - n**2 * np.sum(a * a)) <= 1e-12 * n**2 * np.sum(a * a)
+
+    @pytest.mark.parametrize("conformal", [False, True], ids=["flat", "cos-x"])
+    @pytest.mark.parametrize("kind", ["exact", "harmonic"])
+    def test_agrees_with_dense_solve(self, kind, conformal):
+        """The dense solve of K x = b on an orthonormal basis of the
+        Nyquist-free fields Euclidean-orthogonal to the Nyquist-free tau1,
+        K the matrix of symmetrized_apply."""
+        n = 16
+        grid = build_grid(n, cos_x_field(n, 0.3) if conformal else None)
+        conn = df_connection(grid) if kind == "exact" else harmonic_connection(grid, 1.0, 2.0)
+        kb = kernel_basis(conn, grid)
+        assert kb.dim == (kind == "exact")
+        b = random_band_limited(grid, np.random.default_rng(5)).values
+        x = solve_symmetrized(b, conn, grid, kb)
+        K = np.column_stack([symmetrized_apply(conn, grid)(e.reshape(n, n)).ravel()
+                             for e in np.eye(n * n)])
+        evals, B = np.linalg.eigh(_nyquist_projector(grid))
+        Q = B[:, evals > 0.5]
+        if kb.dim == 1:
+            Q = Q @ null_space((Q.T @ kb.tau1.values.ravel())[None, :])
+        ref = (Q @ np.linalg.solve(Q.T @ K @ Q, Q.T @ b.ravel())).reshape(n, n)
+        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_one_fft_pair_per_step(self, monkeypatch):
+        grid = build_grid(32, cos_x_field(32, 0.3))
+        conn = df_connection(grid)
+        kb = kernel_basis(conn, grid)
+        b = random_band_limited(grid, np.random.default_rng(6)).values
+        calls, infos = [], []
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
+            fn = getattr(np.fft, name)
+            monkeypatch.setattr(np.fft, name,
+                                lambda *a, _fn=fn, **k: calls.append(_fn) or _fn(*a, **k))
+
+        def spy(*args, **kwargs):
+            x, info = pcg(*args, **kwargs)
+            infos.append(info)
+            return x, info
+
+        monkeypatch.setattr(bundle, "pcg", spy)
+        solve_symmetrized(b, conn, grid, kb)
+        assert len(infos) == 1 and infos[0].iterations > 0
+        assert len(calls) <= 2 * infos[0].iterations + 3
 
 
 class TestPoincare:

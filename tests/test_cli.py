@@ -140,6 +140,18 @@ class TestExitCodes:
         assert s["status"] == "error"
         assert "error" in s["results"]
 
+    def test_minimize_overflow_is_numerical_failure(self, tmp_path, capsys):
+        # |omega|^2 = 1e300 builds, then the residual's square overflows
+        code = run(tmp_path, ["minimize", "--n", "16", "--connection", "harmonic:1e150,0"])
+        assert code == 1
+        s = read_summary(tmp_path, "minimize")
+        assert s["status"] == "error"
+        assert "floating-point range" in s["results"]["error"]
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "Traceback" not in err
+        assert "Warning" not in err
+
     def test_unconverged_pcg_writes_diagnostics(self, tmp_path, monkeypatch):
         monkeypatch.setattr(green, "solve_symmetrized",
                             functools.partial(bundle.solve_symmetrized, max_iter=1))
@@ -180,11 +192,17 @@ class TestExitCodes:
         (["minimize", "--n", "16", "--connection", "bogus"], None),
         (["minimize", "--n", "16", "--h-preset", "bogus"], None),
         (["minimize", "--n", "16", "--v-preset", "bogus"], None),
+        (["minimize", "--n", "16", "--v-preset", "cos-x:1e400"], None),
+        (["minimize", "--n", "16", "--connection", "exact:cos-x:nan"], None),
+        (["minimize", "--n", "16", "--v-preset", "cos-x:abc"], None),
+        (["minimize", "--n", "16", "--h-preset", "exp-cos:abc"], None),
+        (["minimize", "--n", "16", "--v-preset", "cos-xy"], None),
     ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3", "p-int", "p-short",
             "p-long", "p-float", "connection-int", "backend-gpu", "seed-negative",
             "cli-seed-negative", "cli-p-long", "n-float", "max_iter-bool", "v_preset-null",
             "h-overflow", "v-overflow", "v-overflow-negative", "harmonic-overflow",
-            "exact-overflow", "connection-unknown", "h-unknown", "v-unknown"])
+            "exact-overflow", "connection-unknown", "h-unknown", "v-unknown",
+            "v-inf", "exact-nan", "v-unparsable", "h-unparsable", "v-suffix"])
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "range.json"
@@ -234,6 +252,15 @@ class TestFilePresets:
         assert run(tmp_path, ["minimize", "--n", "16",
                               "--h-preset", f"file:{tmp_path / 'h.csv'}"]) == 2
         assert "strictly positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["n,v-preset\nabc,zero\n1\n",
+                                      "n,v-preset\n16,zero\n1,x\n"],
+                             ids=["bad-size", "bad-value"])
+    def test_unparsable_file_names_it(self, tmp_path, capsys, text):
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        assert run(tmp_path, ["minimize", "--n", "16", "--v-preset", f"custom-file:{path}"]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
 
 
 class TestConfig:

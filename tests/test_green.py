@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,21 @@ class TestCriticalValueMap:
     def test_bad_stride(self, spec128):
         with pytest.raises(ValueError):
             critical_value_map(spec128, stride=33)
+
+
+class TestMemory:
+    def test_green_solve_peak(self):
+        """The traced peak of one spectral Green solve, exact:cos-x:0.3 at
+        n = 256, stays at or below 16 n x n float64 arrays; the ratio is the
+        same at n = 1024, where this solve sets the CLI's peak memory."""
+        n = 256
+        g = build_grid(n)
+        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        solve_green((3, 5), spec)           # fills the radial-moment cache
+        tracemalloc.start()
+        try:
+            solve_green((3, 5), spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n * n
