@@ -65,13 +65,16 @@ class KernelBasis:
     `component` and `project` act on raw arrays in the inner product with
     quadrature `weights` (Euclidean when None): the projection onto H1, the
     complement of the kernel, for every solver.  <tau1, tau1>_w is summed
-    once per weights array.
+    once per weights array.  `spectral` gives the Fourier-space solvers the
+    masked transforms of tau1 and of e^{2v} tau1, each computed once per
+    grid.
     """
 
     dim: int
     tau1: ScalarField | None = None
     f: ScalarField | None = None
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def component(self, z: np.ndarray, weights: np.ndarray | None = None) -> float:
         """<z, tau1>_w / <tau1, tau1>_w; 0.0 when the kernel is trivial."""
@@ -92,6 +95,19 @@ class KernelBasis:
         if self.dim == 0:
             return z
         return z - self.component(z, weights) * self.tau1.values
+
+    def spectral(self, grid: TorusGrid, weighted: bool = False) -> np.ndarray:
+        """The read-only masked transform (geometry.to_spectral) of tau1, or
+        of e^{2v} tau1 when `weighted`, on `grid`; the kernel must be
+        one-dimensional."""
+        weighted = weighted and bool(grid.v.values.any())   # flat: e^{2v} = 1 exactly
+        hit = self._spectra.get((id(grid), weighted))
+        if hit is None or hit[0] is not grid:
+            t = grid.exp2v * self.tau1.values if weighted else self.tau1.values
+            T = to_spectral(t, grid)
+            T.setflags(write=False)
+            hit = self._spectra[(id(grid), weighted)] = (grid, T)
+        return hit[1]
 
 
 def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
@@ -165,46 +181,51 @@ class PCGInfo:
         return self.reason == "converged"
 
 
-def pcg(apply, b: np.ndarray, precond=lambda z: z, project=lambda z: z,
+def pcg(apply, b: np.ndarray, precond=lambda z: z,
         inner=lambda a, c: np.vdot(a, c).real, tol: float = PCG_TOL,
         max_iter: int = PCG_MAX_ITER) -> tuple[np.ndarray, PCGInfo]:
-    """Deflated preconditioned conjugate gradients (Saad, Iterative Methods
-    for Sparse Linear Systems, 2nd ed., section 9.2).
+    """Preconditioned conjugate gradients (Saad, Iterative Methods for Sparse
+    Linear Systems, 2nd ed., section 9.2).
 
-    Solves apply(x) = b on the range of the orthogonal projection `project`,
-    which must commute with `apply`; `precond` approximates the inverse and
-    must be self-adjoint positive in the inner product `inner`.  Stops when
-    ||r|| <= tol ||b||, after max_iter steps, or on a direction with
-    <p, A p> <= 0, and returns the iterate reached so far.
+    Solves apply(x) = b; `precond` approximates the inverse and must be
+    self-adjoint positive (semi-definite) in the inner product `inner`.  To
+    solve on a kernel complement the caller deflates in its closures: `b`
+    and every output of `apply` must lie in the residuals' range, every
+    output of `precond` in the iterates' range.  Stops when ||r|| <= tol
+    ||b||, after max_iter steps, or on a direction with <p, A p> <= 0, and
+    returns the iterate reached so far.  `b` is copied once and not kept;
+    the outputs of `apply` are overwritten.
     """
-    b = project(b)
-    x = np.zeros_like(b)
     bnorm = np.sqrt(inner(b, b))
+    x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, PCGInfo("converged", 0, 0.0)
     r = b.copy()
-    z = project(precond(r))
+    del b                         # a caller's temporary is freed here
+    z = precond(r)
     p = z.copy()
     rz = inner(r, z)
     reason, it, rnorm = "max_iter", 0, bnorm
     while it < max_iter:
-        Ap = project(apply(p))
+        Ap = apply(p)
         pAp = inner(p, Ap)
         if pAp <= 0.0:
             reason = "negative_curvature"
             break
         alpha = rz / pAp
         x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
         it += 1
         rr = inner(r, r)
         rnorm = np.sqrt(rr)
         if rnorm <= tol * bnorm:
             reason = "converged"
             break
-        z = project(precond(r))
+        z = precond(r)
         rz_new = rr if z is r else inner(r, z)   # plain CG: z is r itself
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     return x, PCGInfo(reason, it, float(rnorm / bnorm))
 
@@ -240,25 +261,27 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     The Krylov vectors are Nyquist-free rfft2 coefficients: b is transformed
     once, each step applies geometry.spectral_laplacian_plus (one FFT pair)
     and the diagonal preconditioner grid.shifted_inverse, inner products are
-    Parseval's, tau1 is deflated by its masked transform, and x is
+    Parseval's, tau1 is deflated by its cached masked transform (in the
+    right-hand side, the operator and the preconditioner), and x is
     transformed back once.
     """
     V = conn.potential.values
     if not V.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
     if kb.dim == 1:
-        T = to_spectral(kb.tau1.values, grid)
+        T = kb.spectral(grid)
         tt = spectral_inner(T, T)
 
-        def project(Z):            # in place: pcg projects only its own temporaries
+        def deflate(Z):            # in place: only ever given pcg's temporaries
             Z -= (spectral_inner(Z, T) / tt) * T
             return Z
     else:
-        def project(Z):
+        def deflate(Z):
             return Z
 
-    X, info = pcg(lambda P: spectral_laplacian_plus(P, V, grid), to_spectral(b, grid),
-                  precond=lambda R: grid.shifted_inverse * R, project=project,
+    X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)),
+                  deflate(to_spectral(b, grid)),
+                  precond=lambda R: deflate(grid.shifted_inverse * R),
                   inner=spectral_inner, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
     return from_spectral(X, grid)

@@ -28,7 +28,16 @@ from .bundle import (
     kernel_basis,
     pcg,
 )
-from .geometry import ScalarField, TorusGrid, drop_nyquist, invert_flat_shifted
+from .geometry import (
+    ScalarField,
+    TorusGrid,
+    drop_nyquist,
+    from_spectral,
+    invert_flat_shifted,
+    spectral_inner,
+    spectral_laplacian_plus,
+    to_spectral,
+)
 
 EXP_GUARD = 700.0
 RHO_CRITICAL = 8.0 * np.pi
@@ -101,11 +110,13 @@ def log_mass(u: np.ndarray, spec: ProblemSpec) -> tuple[float, float, np.ndarray
     return shift + slog, shift, w
 
 
-def evaluate_J(u: ScalarField, spec: ProblemSpec) -> float:
-    """Value of the functional; raises ExponentOverflowError past the guard."""
+def evaluate_J(u: ScalarField, spec: ProblemSpec, energy: float | None = None) -> float:
+    """Value of the functional; raises ExponentOverflowError past the guard.
+    `energy` is bundle_energy(u), when the caller has it already."""
     _guard(u.values)
     g = spec.grid
-    energy = bundle_energy(u, spec.conn, g)
+    if energy is None:
+        energy = bundle_energy(u, spec.conn, g)
     mean_term = spec.rho / g.total_area * float(np.sum(u.values * g.area_element))
     log_mu, _, _ = log_mass(u.values, spec)
     return 0.5 * energy + mean_term - spec.rho * log_mu
@@ -242,26 +253,72 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
                       project) -> np.ndarray:
     """Truncated Newton step (Steihaug, SIAM J. Numer. Anal. 20, 1983): PCG
-    on the projected Hessian to relative residual 1e-3, preconditioned with
-    the bundle Poisson solve's (Delta_flat + 1)^{-1} applied to e^{2v} z.
+    on the projected Hessian to relative residual 1e-3, in Fourier space
+    like the bundle Poisson solve.
+
+    The Hessian H phi = (Delta_g + V) phi - rho (W phi - W <W, phi>), with
+    W = h e^u / mu and <.,.> the L2(dv_g) product, is self-adjoint in
+    L2(dv_g); the PCG solves its flat-self-adjoint form e^{2v} H on the
+    Nyquist-free rfft2 coefficients P of phi,
+
+        H^ P = spectral_laplacian_plus(P, V - rho W) + rho h^4 <W^, P> W^,
+
+    with W^ = to_spectral(e^{2v} W) formed once and <.,.> Parseval's
+    (geometry.spectral_inner), the diagonal preconditioner
+    grid.shifted_inverse and the right-hand side to_spectral(-e^{2v} r).  In
+    exact arithmetic this is the L2(dv_g) PCG preconditioned with
+    (Delta_flat + 1)^{-1} e^{2v}; its stop test is on the Parseval norm of
+    e^{2v} times the residual, which is the L2(dv_g) norm up to a constant
+    when v = 0.  tau1 is deflated by the cached transforms of
+    KernelBasis.spectral: the iterate and the preconditioned residuals are
+    kept L2(dv_g)-orthogonal to tau1 (Euclidean-orthogonal to e^{2v} tau1),
+    the residuals and H^ P Euclidean-orthogonal to tau1.  A direction of m
+    steps costs 2m + 3 FFTs.
+
     On negative curvature at the first step it returns the preconditioned
-    gradient -P M r; on negative curvature later, or at the 200-step cap,
-    the iterate reached so far."""
+    gradient -project((Delta_flat + 1)^{-1} e^{2v} r); on negative curvature
+    later, or at the 200-step cap, the iterate reached so far."""
     g = spec.grid
-    area = g.area_element
-    log_mu, shift, w = log_mass(u, spec)
-    W = w * np.exp(shift - log_mu)  # h e^u / mu
+    if spec.kb.dim == 1:
+        T, E = spec.kb.spectral(g), spec.kb.spectral(g, weighted=True)
+        te = spectral_inner(T, E)
 
-    def hess(phi: np.ndarray) -> np.ndarray:
-        lin = bundle_laplacian_raw(phi, spec.conn, g)
-        wphi = float(np.sum(W * phi * area))
-        return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
+        def primal(Z):           # in place, on pcg's temporaries only
+            Z -= (spectral_inner(Z, E) / te) * T
+            return Z
 
-    def precond(z: np.ndarray) -> np.ndarray:
-        return invert_flat_shifted(z * g.exp2v, g)
+        def dual(R):
+            R -= (spectral_inner(R, T) / te) * E
+            return R
+    else:
+        def primal(Z):
+            return Z
+        dual = primal
 
-    x, info = pcg(hess, -r, precond=precond, project=project,
-                  inner=lambda a, c: float(np.sum(a * c * area)), tol=1e-3, max_iter=200)
+    # e^{2v} = area_element / h^2 scales the fields in place, as in the
+    # Poisson apply
+    log_mu, shift, W = log_mass(u, spec)
+    W *= np.exp(shift - log_mu)  # h e^u / mu
+    pot = spec.rho * W
+    np.subtract(spec.conn.potential.values, pot, out=pot)    # V - rho W
+    W *= g.area_element
+    W *= g.n**2
+    What = to_spectral(W, g)
+    del W
+    b = r * g.area_element
+    b *= -g.n**2                 # -e^{2v} r
+    B = dual(to_spectral(b, g))
+    del b
+    rank_one = spec.rho * g.h**4
+
+    def hess(P: np.ndarray) -> np.ndarray:
+        HP = spectral_laplacian_plus(P, pot, g)
+        HP += (rank_one * spectral_inner(What, P)) * What
+        return dual(HP)
+
+    X, info = pcg(hess, B,
+                  precond=lambda R: primal(g.shifted_inverse * R),
+                  inner=spectral_inner, tol=1e-3, max_iter=200)
     if info.reason == "negative_curvature" and info.iterations == 0:
-        return -project(precond(r))
-    return x
+        return -project(invert_flat_shifted(r * g.exp2v, g))
+    return from_spectral(X, g)

@@ -278,9 +278,9 @@ def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
-    preconditioner of the Newton PCG and of the eigen-solve (see
-    drop_nyquist); the bundle Poisson PCG multiplies its coefficients by
-    grid.shifted_inverse directly."""
+    preconditioner of the eigen-solve (see drop_nyquist) and of the Newton
+    step's first-step fallback; the Fourier-space PCGs, bundle Poisson and
+    Newton, multiply their coefficients by grid.shifted_inverse directly."""
     return fourier_multiply(u, grid.shifted_inverse)
 
 

@@ -124,13 +124,16 @@ def _commutator_field(r: np.ndarray) -> np.ndarray:
 def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarray:
     """Solve (Delta_g + V) w = rhs for w orthogonal to the kernel.
 
-    rhs must already be projected.  The spectral backend is the bundle
-    Poisson solve; the fd backend inverts the 5-point symbol directly when V
-    vanishes and runs deflated PCG otherwise, with no Nyquist filter since
-    the 5-point symbol is positive there.
+    rhs must already be projected; it is overwritten by e^{2v} rhs, so that
+    no second right-hand side lives through the solve.  The spectral backend
+    is the bundle Poisson solve; the fd backend inverts the 5-point symbol
+    directly when V vanishes and runs deflated PCG otherwise, with no
+    Nyquist filter since the 5-point symbol is positive there.
     """
     g = spec.grid
-    b = g.exp2v * rhs
+    b = rhs
+    b *= g.area_element
+    b *= g.n**2                   # e^{2v} = area_element / h^2, exactly
     if backend == "spectral":
         return solve_symmetrized(b, spec.conn, g, spec.kb)
     sym = five_point_symbol(g)
@@ -138,13 +141,16 @@ def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarra
     if not V.any():
         return fourier_multiply(b - b.mean(), pseudo_inverse(sym))
 
+    kb = spec.kb
+
     def apply(z):
-        return (4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
-                - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2 + g.exp2v * V * z
+        return kb.project((4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
+                           - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2
+                          + g.exp2v * V * z)
 
     shifted = 1.0 / (sym + 1.0)
-    x, info = pcg(apply, b, precond=lambda z: fourier_multiply(z, shifted),
-                  project=spec.kb.project)
+    x, info = pcg(apply, kb.project(b),
+                  precond=lambda z: kb.project(fourier_multiply(z, shifted)))
     require_converged(info, "finite-difference Green PCG")
     return x
 

@@ -51,10 +51,10 @@ def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
     r_scale = float(np.sqrt(mu / (rho * hx)) * np.exp(-c / 2.0))
     spec_rho = spec.with_rho(rho)
     _, lam1 = el_residual(u, spec_rho)
+    energy = bundle_energy(u, spec.conn, g)
     return SweepRecord(
-        rho=rho, u=u, c=c, x=x, mu=mu, lambda1=lam1,
-        energy=bundle_energy(u, spec.conn, g),
-        jvalue=evaluate_J(u, spec_rho),
+        rho=rho, u=u, c=c, x=x, mu=mu, lambda1=lam1, energy=energy,
+        jvalue=evaluate_J(u, spec_rho, energy),
         r_scale=r_scale,
         converged=res.converged if res is not None else True,
         guard_hit=res.guard_hit if res is not None else False,

@@ -298,7 +298,7 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     bubble_meas = _masked_gradient_energy(fam.q_raw.values, r <= fam.R / fam.k, g)
     bubble_closed = qk_bubble_region_closed(fam.k, fam.R)
 
-    jval = evaluate_J(fam.field, spec8)
+    jval = evaluate_J(fam.field, spec8, energy)
     lam = critical_value(gd, spec)
 
     ring = np.abs(r - fam.R / fam.k) <= g.h

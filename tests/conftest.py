@@ -49,6 +49,33 @@ def ones_field(n):
     return ScalarField(np.ones((n, n)))
 
 
+FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+             "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def count_fft_calls(monkeypatch) -> list:
+    """A list that records every numpy.fft call made from here on."""
+    calls = []
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name,
+                            lambda *a, _fn=fn, **k: calls.append(_fn) or _fn(*a, **k))
+    return calls
+
+
+def spy_pcg(monkeypatch, module) -> list:
+    """A list of the PCGInfo of every pcg call made through `module`."""
+    infos, pcg = [], module.pcg
+
+    def spy(*args, **kwargs):
+        x, info = pcg(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(module, "pcg", spy)
+    return infos
+
+
 @pytest.fixture(scope="session")
 def grid32():
     return build_grid(32)

@@ -41,8 +41,10 @@ from bundlemf.presets import make_v_field
 from conftest import (
     axis,
     cos_x_field,
+    count_fft_calls,
     df_connection,
     harmonic_connection,
+    spy_pcg,
     zero_connection,
 )
 
@@ -94,6 +96,29 @@ class TestKernelBasis:
     def test_nonvanishing(self, grid64):
         kb = kernel_basis(df_connection(grid64, 0.4), grid64)
         assert np.min(np.abs(kb.tau1.values)) > 0.0
+
+
+    @given(seed=st.integers(0, 2**32 - 1), kmax=st.integers(1, 6),
+           amp=st.floats(0.0, 2.0), a=st.floats(0.1, 5.0), b=st.floats(-5.0, 5.0),
+           swap=st.booleans(), conformal=st.booleans())
+    def test_classification_of_random_forms(self, grid32, seed, kmax, amp, a, b, swap,
+                                            conformal):
+        """w = df is exact for every band-limited f: a one-dimensional kernel
+        spanned by e^{-f}, f in the zero-mean gauge.  Adding a harmonic form
+        with a nonzero period, w = df + a dx + b dy, leaves no kernel."""
+        grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
+        f = random_band_limited(grid, np.random.default_rng(seed), kmax=kmax,
+                                amplitude=amp).values
+        df = exterior_derivative(ScalarField(f), grid)
+        kb = kernel_basis(make_connection(df, grid), grid)
+        assert kb.dim == 1
+        assert np.max(np.abs(kb.f.values - (f - f.mean()))) <= 1e-12 * max(1.0, amp)
+        tau = np.exp(-kb.f.values)
+        tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
+        assert np.max(np.abs(kb.tau1.values - tau)) <= 1e-12 * np.max(tau)
+        a, b = (b, a) if swap else (a, b)
+        harmonic = OneForm(df.c1 + a, df.c2 + b)
+        assert kernel_basis(make_connection(harmonic, grid), grid).dim == 0
 
 
 class TestProjection:
@@ -301,19 +326,8 @@ class TestSpectralPCG:
         conn = df_connection(grid)
         kb = kernel_basis(conn, grid)
         b = random_band_limited(grid, np.random.default_rng(6)).values
-        calls, infos = [], []
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                     "fftn", "ifftn", "rfftn", "irfftn"):
-            fn = getattr(np.fft, name)
-            monkeypatch.setattr(np.fft, name,
-                                lambda *a, _fn=fn, **k: calls.append(_fn) or _fn(*a, **k))
-
-        def spy(*args, **kwargs):
-            x, info = pcg(*args, **kwargs)
-            infos.append(info)
-            return x, info
-
-        monkeypatch.setattr(bundle, "pcg", spy)
+        calls = count_fft_calls(monkeypatch)
+        infos = spy_pcg(monkeypatch, bundle)
         solve_symmetrized(b, conn, grid, kb)
         assert len(infos) == 1 and infos[0].iterations > 0
         assert len(calls) <= 2 * infos[0].iterations + 3

@@ -1,5 +1,9 @@
+import contextlib
 import functools
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +225,85 @@ class TestExitCodes:
         cfg = tmp_path / "nan.json"
         cfg.write_text('{"n": 32, "tol": NaN, "delta": Infinity}')
         assert main(["minimize", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+def not_power_of_two_grid(n):
+    return n < 16 or n & (n - 1) != 0
+
+
+NOT_INT = st.one_of(st.floats(allow_nan=False), st.text(max_size=4), st.booleans(),
+                    st.none(), st.lists(st.integers(), max_size=2))
+NOT_STR = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+                    st.lists(st.text(max_size=3), max_size=2))
+NOT_NUMBER = st.one_of(st.text(max_size=4), st.booleans(), st.none(),
+                       st.lists(st.floats(), max_size=2),
+                       st.sampled_from([float("nan"), float("inf"), -float("inf"), 10**400]))
+# a value that load_config or the problem build must refuse, per config key;
+# `out` is left out because --out overrides it
+BAD_VALUES = {
+    "n": st.one_of(NOT_INT, st.integers(-64, 4096).filter(not_power_of_two_grid)),
+    **dict.fromkeys(("max_iter", "kmax", "stride", "k"), NOT_INT),
+    "seed": st.one_of(NOT_INT, st.integers(max_value=-1)),
+    **dict.fromkeys(("v_preset", "connection", "h_preset"), NOT_STR),
+    **dict.fromkeys(("rho", "alpha", "delta"), NOT_NUMBER),
+    "tol": NOT_NUMBER.filter(lambda x: x is not None),
+    "backend": st.text(max_size=8).filter(lambda x: x not in ("spectral", "fd")),
+    "p": st.one_of(st.integers(), st.text(max_size=4),
+                   st.lists(st.integers(), max_size=4).filter(lambda x: len(x) != 2),
+                   st.tuples(st.integers(), st.floats()).map(list)),
+}
+def run_quietly(argv):
+    """main(argv) and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+PROBLEM_COMMANDS = ("minimize", "sweep", "green", "critmap", "moser", "qk", "reduce-check")
+
+
+class TestRandomConfigs:
+    """The exit-code contract on random configs: a bad value is a usage error
+    (exit 2, a one-line message, no summary); a valid minimize exits 0 or 1
+    and writes its summary either way."""
+
+    @given(command=st.sampled_from(PROBLEM_COMMANDS),
+           bad=st.sampled_from(sorted(BAD_VALUES)).flatmap(
+               lambda key: st.tuples(st.just(key), BAD_VALUES[key])))
+    def test_bad_value_is_usage_error(self, command, bad):
+        key, value = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.json"
+            path.write_text(json.dumps({"n": 16, key: value}))
+            code, err = run_quietly([command, "--config", str(path), "--out", tmp])
+            written = list(Path(tmp).glob("*_summary.json"))
+        assert code == 2, (key, value, err)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not written
+
+    @given(rho=st.floats(-20.0, 8 * np.pi, exclude_max=True),
+           max_iter=st.integers(1, 4),
+           tol=st.sampled_from([None, 1e-300, 1e-6]),
+           connection=st.sampled_from(["zero", "exact:cos-x:0.3", "harmonic:1,2",
+                                       "harmonic:1e150,0"]),
+           v_preset=st.sampled_from(["zero", "cos-x:0.3"]),
+           h_preset=st.sampled_from(["one", "exp-cos:0.5"]),
+           seed=st.integers(0, 2**31))
+    def test_valid_minimize_exits_zero_or_one(self, rho, max_iter, tol, connection,
+                                              v_preset, h_preset, seed):
+        config = {"n": 16, "rho": rho, "max_iter": max_iter, "tol": tol,
+                  "connection": connection, "v_preset": v_preset,
+                  "h_preset": h_preset, "seed": seed}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cfg.json"
+            path.write_text(json.dumps(config))
+            code, err = run_quietly(["minimize", "--config", str(path), "--out", tmp])
+            summary = json.loads((Path(tmp) / "minimize_summary.json").read_text())
+        assert code in (0, 1)
+        assert summary["status"] == ("ok" if code == 0 else "error")
+        assert err.startswith("numerical failure: ") == (code == 1)
+        assert "Traceback" not in err
 
 
 class TestFilePresets:

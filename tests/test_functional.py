@@ -17,15 +17,19 @@ from bundlemf import (
     minimize,
     project_H1,
 )
+from bundlemf import functional
+from bundlemf.bundle import bundle_laplacian_raw, pcg
 from bundlemf.cli import RunConfig, build_problem
-from bundlemf.functional import RHO_CRITICAL, _newton_direction, _raw_residual
-from bundlemf.geometry import drop_nyquist, invert_flat_shifted, random_band_limited
+from bundlemf.functional import RHO_CRITICAL, _newton_direction, _raw_residual, log_mass
+from bundlemf.geometry import build_grid, drop_nyquist, invert_flat_shifted, random_band_limited
 
 from conftest import (
     cos_x_field,
+    count_fft_calls,
     df_connection,
     harmonic_connection,
     ones_field,
+    spy_pcg,
     zero_connection,
 )
 
@@ -230,6 +234,28 @@ def projected_residual(u, spec, project):
     return project(drop_nyquist(_raw_residual(u, spec)[0], spec.grid))
 
 
+def physical_newton_direction(u, r, spec, project):
+    """Oracle: the truncated Newton PCG in physical space, with the L2(dv_g)
+    inner product and the preconditioner (Delta_flat + 1)^{-1} e^{2v}."""
+    g = spec.grid
+    area = g.area_element
+    log_mu, shift, w = log_mass(u, spec)
+    W = w * np.exp(shift - log_mu)
+
+    def hess(phi):
+        lin = bundle_laplacian_raw(phi, spec.conn, g)
+        wphi = float(np.sum(W * phi * area))
+        return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
+
+    def precond(z):
+        return project(invert_flat_shifted(z * g.exp2v, g))
+
+    x, info = pcg(hess, project(-r), precond=precond,
+                  inner=lambda a, c: float(np.sum(a * c * area)), tol=1e-3, max_iter=200)
+    return x, info
+
+
+
 class TestNewtonDirection:
     def test_cold_start_few_steps(self):
         # the CLI's minimize start: seed 0, amplitude 0.1
@@ -256,12 +282,15 @@ class TestNewtonDirection:
            rho=st.floats(-10.0, RHO_CRITICAL, exclude_max=True),
            seed=st.integers(0, 2**32 - 1),
            kmax=st.integers(1, 8),
-           amplitude=st.floats(0.05, 2.0))
-    def test_direction_properties(self, grid32, conn, rho, seed, kmax, amplitude):
+           amplitude=st.floats(0.05, 2.0),
+           conformal=st.booleans())
+    def test_direction_properties(self, grid32, conn, rho, seed, kmax, amplitude,
+                                  conformal):
         make = {"zero": zero_connection, "exact": df_connection,
                 "harmonic": harmonic_connection}[conn]
         h = ScalarField(np.exp(cos_x_field(32, 0.5).values))
-        spec = make_problem(grid32, make(grid32), h, rho)
+        grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
+        spec = make_problem(grid, make(grid), h, rho)
         g = spec.grid
         project = tau1_projection(spec)
         u = project(random_band_limited(g, np.random.default_rng(seed), kmax=kmax,
@@ -273,6 +302,50 @@ class TestNewtonDirection:
         if spec.kb.dim == 1:
             assert abs(np.sum(d * spec.kb.tau1.values * g.area_element)) <= 1e-10 * dnorm
         assert np.max(np.abs(drop_nyquist(d, g) - d)) <= 1e-12 * np.max(np.abs(d))
+
+    @pytest.mark.parametrize("conn, rel", [("zero", 1e-12), ("exact", 1e-12),
+                                           ("harmonic", 1e-11)])
+    def test_matches_physical_space_pcg(self, grid32, conn, rel):
+        """On the flat torus the Fourier-space PCG and the L2(dv_g) PCG take
+        the same steps: their stop norms differ by the constant n^2.
+
+        With the harmonic connection the preconditioned Hessian is a tight
+        cluster at 1 plus the outlier 4 pi^2 on the constants, and the
+        physical-space PCG itself moves by up to 1.7e-13 (relative) when r
+        changes by one ulp; the two agree to 1.1e-12 there, 4e-15 with the
+        other connections."""
+        make = {"zero": zero_connection, "exact": df_connection,
+                "harmonic": harmonic_connection}[conn]
+        h = ScalarField(np.exp(cos_x_field(32, 0.5).values))
+        rng = np.random.default_rng(7)
+        for rho in (-5.0, 4 * np.pi, 24.0):
+            spec = make_problem(grid32, make(grid32), h, rho)
+            project = tau1_projection(spec)
+            for _ in range(3):
+                u = project(random_band_limited(grid32, rng, kmax=6, amplitude=1.0).values)
+                r = projected_residual(u, spec, project)
+                d = _newton_direction(u, r, spec, project)
+                ref, info = physical_newton_direction(u, r, spec, project)
+                assert info.iterations > 1
+                assert np.max(np.abs(d - ref)) <= rel * np.max(np.abs(ref))
+
+    def test_fft_calls_per_direction(self, monkeypatch):
+        """One direction of m PCG steps costs 2m + 3 FFTs once the kernel
+        transforms are cached: the right-hand side, W^, m operator applies
+        and the transform back."""
+        spec = build_problem(RunConfig(n=32, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5", v_preset="cos-x:0.3"))
+        g = spec.grid
+        project = tau1_projection(spec)
+        u = project(random_band_limited(g, np.random.default_rng(3), amplitude=1.0).values)
+        r = projected_residual(u, spec, project)
+        _newton_direction(u, r, spec, project)      # fills the kernel transforms
+        calls = count_fft_calls(monkeypatch)
+        infos = spy_pcg(monkeypatch, functional)
+        _newton_direction(u, r, spec, project)
+        assert len(infos) == 1 and infos[0].reason == "converged"
+        assert infos[0].iterations > 1
+        assert len(calls) == 2 * infos[0].iterations + 3
 
 
 class TestCoercivityProbe:

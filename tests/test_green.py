@@ -258,8 +258,9 @@ class TestCriticalValueMap:
 class TestMemory:
     def test_green_solve_peak(self):
         """The traced peak of one spectral Green solve, exact:cos-x:0.3 at
-        n = 256, stays at or below 16 n x n float64 arrays; the ratio is the
-        same at n = 1024, where this solve sets the CLI's peak memory."""
+        n = 256, stays at or below 13 n x n float64 arrays (11.1 measured);
+        the ratio is the same at n = 1024, where this solve sets the CLI's
+        peak memory."""
         n = 256
         g = build_grid(n)
         spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
@@ -270,4 +271,4 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 8 * n * n
+        assert peak <= 13 * 8 * n * n

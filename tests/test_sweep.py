@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bundlemf import build_Qk, make_problem
-from bundlemf.geometry import build_grid
+from bundlemf import build_Qk, bundle_energy, evaluate_J, functional, make_problem, sweep
+from bundlemf.geometry import build_grid, random_band_limited
 from bundlemf.sweep import (
     SweepRecord,
     blowup_diagnostics,
@@ -42,6 +42,22 @@ class TestSweep:
             assert rec.r_scale > 0
             expected = np.sqrt(rec.mu / (rec.rho * 1.0)) * np.exp(-rec.c / 2)
             assert rec.r_scale == pytest.approx(expected, rel=1e-12)
+
+    def test_record_energy_computed_once(self, trivial_sweep, monkeypatch):
+        spec, _ = trivial_sweep
+        u = random_band_limited(spec.grid, np.random.default_rng(5), amplitude=0.5)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bundle_energy(*args)
+
+        monkeypatch.setattr(sweep, "bundle_energy", counted)
+        monkeypatch.setattr(functional, "bundle_energy", counted)
+        rec = record_from_state(u, 6.0, spec)
+        assert len(calls) == 1
+        assert rec.energy == bundle_energy(u, spec.conn, spec.grid)
+        assert rec.jvalue == evaluate_J(u, spec.with_rho(6.0))
 
     def test_kmax_validation(self, trivial_sweep):
         spec, _ = trivial_sweep
