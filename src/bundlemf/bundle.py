@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy 2 imports it on first use, inside a solve)
 
 from .geometry import (
     OneForm,

@@ -14,6 +14,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -39,7 +40,7 @@ from .presets import (
     save_field_json,
     save_scalar_csv,
 )
-from .sweep import blowup_diagnostics, record_from_state, subcritical_sweep
+from .sweep import blowup_diagnostics, peak, subcritical_sweep
 from .testfunctions import bubble_checks, build_Qk, moser_family, qk_audit, tm_probe
 
 
@@ -173,12 +174,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _scipy_version() -> str:
-    import scipy
-
-    return scipy.__version__
-
-
 def write_summary(outdir, command: str, cfg: RunConfig, payload: dict,
                   status: str, t0: float) -> str:
     summary = {
@@ -186,8 +181,7 @@ def write_summary(outdir, command: str, cfg: RunConfig, payload: dict,
         "status": status,
         "config": _sanitize(asdict(cfg)),
         "config_hash": config_hash(cfg),
-        "versions": {"bundlemf": __version__, "numpy": np.__version__,
-                     "scipy": _scipy_version()},
+        "versions": {"bundlemf": __version__, "numpy": np.__version__},
         "wall_time_s": time.time() - t0,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": _sanitize(payload),
@@ -207,23 +201,26 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
     rng = np.random.default_rng(cfg.seed)
     init = random_band_limited(spec.grid, rng, amplitude=0.1)
+    # a warning (rho >= 8 pi) goes into the summary, also under `python -W error`
     try:
-        with np.errstate(over="raise", invalid="raise"):
+        with (warnings.catch_warnings(record=True) as caught,
+              np.errstate(over="raise", invalid="raise")):
+            warnings.simplefilter("always")
             res = minimize(spec, init, solver_options(cfg))
     except FloatingPointError as exc:
-        raise NumericalFailure(f"minimization left the floating-point range: {exc}") from exc
+        raise NumericalFailure(f"minimization left the floating-point range: {exc}",
+                               {"warnings": [str(w.message) for w in caught]}) from exc
     save_scalar_csv(res.u, str(outdir / "minimizer.csv"), cfg.v_preset)
     save_field_json(str(outdir / "minimizer.json"), "minimizer.csv", "scalar",
                     cfg.n, cfg.v_preset)
     # below 1 the bubble is narrower than the grid spacing: a grid artifact
-    r_over_h = (record_from_state(res.u, spec.rho, spec, res).r_scale / spec.grid.h
-                if spec.rho > 0 else None)
+    r_over_h = peak(res.u, spec.rho, spec)[3] / spec.grid.h if spec.rho > 0 else None
     out = {"jvalue": res.jvalue, "mu": res.mu, "lambda1": res.lambda1,
            "residual": res.residual, "iterations": res.iterations,
            "converged": res.converged, "max_u": float(res.u.values.max()),
            "r_scale_over_h": r_over_h,
            "grid_resolved": None if r_over_h is None else bool(r_over_h >= 1.0),
-           "field_csv": "minimizer.csv"}
+           "warnings": [str(w.message) for w in caught], "field_csv": "minimizer.csv"}
     if not res.converged:
         raise NumericalFailure("minimization did not converge", out)
     return out

@@ -40,18 +40,24 @@ class SweepRecord:
     guard_hit: bool = False
 
 
-def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
-                      res: MinimizeResult | None = None) -> SweepRecord:
-    g = spec.grid
+def peak(u: ScalarField, rho: float,
+         spec: ProblemSpec) -> tuple[tuple[int, int], float, float, float]:
+    """The argmax node x of u, c = u(x), the mass mu and the bubble scale
+    r_scale = sqrt(mu / (rho h(x))) e^{-c/2}."""
     flat = int(np.argmax(u.values))
-    x = (flat // g.n, flat % g.n)
+    x = (flat // spec.grid.n, flat % spec.grid.n)
     c = float(u.values[x])
     mu = float(np.exp(log_mass(u.values, spec)[0]))
     hx = float(spec.hweight.values[x])
-    r_scale = float(np.sqrt(mu / (rho * hx)) * np.exp(-c / 2.0))
+    return x, c, mu, float(np.sqrt(mu / (rho * hx)) * np.exp(-c / 2.0))
+
+
+def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
+                      res: MinimizeResult | None = None) -> SweepRecord:
+    x, c, mu, r_scale = peak(u, rho, spec)
     spec_rho = spec.with_rho(rho)
     _, lam1 = el_residual(u, spec_rho)
-    energy = bundle_energy(u, spec.conn, g)
+    energy = bundle_energy(u, spec.conn, spec.grid)
     return SweepRecord(
         rho=rho, u=u, c=c, x=x, mu=mu, lambda1=lam1, energy=energy,
         jvalue=evaluate_J(u, spec_rho, energy),

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import bundlemf
 from bundlemf import (
     OneForm,
     ScalarField,
@@ -96,3 +102,12 @@ def flat_problem64(grid64):
 def df_problem64(grid64):
     conn = df_connection(grid64)
     return make_problem(grid64, conn, ones_field(64), 4 * np.pi)
+
+
+def fresh_python(*args, timeout=120):
+    """`python *args` in a new interpreter that imports this bundlemf."""
+    src = str(Path(bundlemf.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+                          timeout=timeout)

@@ -21,6 +21,8 @@ from bundlemf.presets import (
     save_scalar_csv,
 )
 
+from conftest import fresh_python
+
 VOLATILE = ("wall_time_s", "timestamp")
 
 
@@ -155,6 +157,16 @@ class TestExitCodes:
         assert err.startswith("numerical failure: ")
         assert "Traceback" not in err
         assert "Warning" not in err
+
+    def test_supercritical_minimize_under_warnings_as_errors(self, tmp_path):
+        # rho >= 8 pi warns; under -W error the warning is recorded, not raised
+        proc = fresh_python("-W", "error", "-m", "bundlemf.cli", "minimize",
+                            "--n", "16", "--rho", "30", "--out", str(tmp_path))
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "Traceback" not in proc.stderr
+        s = read_summary(tmp_path, "minimize")
+        assert s["status"] == ("ok" if proc.returncode == 0 else "error")
+        assert any("8*pi" in w for w in s["results"]["warnings"])
 
     def test_unconverged_pcg_writes_diagnostics(self, tmp_path, monkeypatch):
         monkeypatch.setattr(green, "solve_symmetrized",

@@ -18,7 +18,7 @@ from bundlemf import (
 )
 from bundlemf.geometry import random_band_limited
 
-from conftest import axis, cos_x_field
+from conftest import axis, cos_x_field, fresh_python
 
 
 def gauss_integral_exp2v(amp, panels=64, order=20):
@@ -261,6 +261,12 @@ def package_sources():
     return sorted(Path(bundlemf.__file__).parent.glob("*.py"))
 
 
+def printed_by(code: str) -> str:
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestLayering:
     def test_only_geometry_calls_fft(self):
         """geometry alone knows the rfft2 layout and the Nyquist mask; the one
@@ -288,14 +294,31 @@ class TestLayering:
                   if name == "bundlemf" or name.startswith("bundlemf.")]
         assert not upward, "geometry imports " + ", ".join(upward)
 
-    def test_only_green_imports_scipy(self):
-        """green's three radial moments are the one scipy computation; the
-        CLI's bare `import scipy` for the summary's version key is allowed."""
+    def test_no_module_imports_scipy(self):
+        """The runtime is numpy-only; scipy is a test dependency."""
         offenders = [f"{path.name}:{line} ({name})"
-                     for path in package_sources() if path.stem != "green"
+                     for path in package_sources()
                      for name, line in imported_names(ast.parse(path.read_text()))
-                     if name.startswith("scipy.")]
-        assert not offenders, "scipy outside green: " + ", ".join(offenders)
+                     if name == "scipy" or name.startswith("scipy.")]
+        assert not offenders, "scipy imported: " + ", ".join(offenders)
+
+    def test_import_loads_no_scipy(self):
+        """A fresh `import bundlemf, bundlemf.cli` leaves scipy out of sys.modules."""
+        loaded = printed_by(
+            "import sys, bundlemf, bundlemf.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+        assert loaded == "[]"
+
+    def test_solve_imports_nothing(self):
+        """After the import and the problem build, a timed solve (here the
+        eigen-solve at n = 32) loads no module lazily."""
+        added = printed_by(
+            "import sys, bundlemf, bundlemf.cli\n"
+            "spec = bundlemf.cli.build_problem(bundlemf.cli.load_config(None, {'n': 32}))\n"
+            "before = set(sys.modules)\n"
+            "bundlemf.bundle.poincare_constant(spec.conn, spec.grid)\n"
+            "print(sorted(set(sys.modules) - before))")
+        assert added == "[]"
 
     def test_imported_names_finds_each_form(self):
         src = ("import scipy\nfrom scipy.integrate import quad\nfrom . import presets\n"
