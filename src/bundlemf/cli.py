@@ -214,7 +214,8 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     save_field_json(str(outdir / "minimizer.json"), "minimizer.csv", "scalar",
                     cfg.n, cfg.v_preset)
     # below 1 the bubble is narrower than the grid spacing: a grid artifact
-    r_over_h = peak(res.u, spec.rho, spec)[3] / spec.grid.h if spec.rho > 0 else None
+    r_over_h = (peak(res.u, spec.rho, spec, res.mu)[3] / spec.grid.h
+                if spec.rho > 0 else None)
     out = {"jvalue": res.jvalue, "mu": res.mu, "lambda1": res.lambda1,
            "residual": res.residual, "iterations": res.iterations,
            "converged": res.converged, "max_u": float(res.u.values.max()),
@@ -232,14 +233,17 @@ def cmd_sweep(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
     records = subcritical_sweep(spec, cfg.kmax, opts=solver_options(cfg))
     report = blowup_diagnostics(records, spec)
-    rows = ["k,rho,c,x_i,x_j,mu,lambda1,energy,jvalue,r_scale,converged"]
+    rows = ["k,rho,c,x_i,x_j,mu,lambda1,energy,jvalue,r_scale,converged,"
+            "iterations,predicted"]
     for k, rec in enumerate(records, start=1):
         rows.append(f"{k},{rec.rho:.17g},{rec.c:.17g},{rec.x[0]},{rec.x[1]},"
                     f"{rec.mu:.17g},{rec.lambda1:.17g},{rec.energy:.17g},"
-                    f"{rec.jvalue:.17g},{rec.r_scale:.17g},{int(rec.converged)}")
+                    f"{rec.jvalue:.17g},{rec.r_scale:.17g},{int(rec.converged)},"
+                    f"{rec.iterations},{int(rec.predicted)}")
     (outdir / "sweep_records.csv").write_text("\n".join(rows) + "\n")
     report["records_csv"] = "sweep_records.csv"
     report["all_converged"] = bool(all(rec.converged for rec in records))
+    report["outer_iterations"] = sum(rec.iterations for rec in records)
     return report
 
 

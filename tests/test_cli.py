@@ -98,7 +98,13 @@ class TestCommands:
         assert run(tmp_path, ["sweep", "--n", "32", "--kmax", "4"]) == 0
         s = read_summary(tmp_path, "sweep")
         assert s["results"]["classification"] in ("ATTAINED", "BLOWUP-CANDIDATE")
-        assert (tmp_path / "sweep_records.csv").exists()
+        lines = (tmp_path / "sweep_records.csv").read_text().splitlines()
+        assert lines[0] == ("k,rho,c,x_i,x_j,mu,lambda1,energy,jvalue,r_scale,converged,"
+                            "iterations,predicted")
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert len(rows) == 4
+        assert s["results"]["outer_iterations"] == sum(int(r["iterations"]) for r in rows)
+        assert {r["predicted"] for r in rows} <= {"0", "1"}
 
     def test_reduce_check(self, tmp_path):
         assert run(tmp_path, ["reduce-check", "--n", "32"]) == 0

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import fields, replace
+
 from bundlemf import build_Qk, bundle_energy, evaluate_J, functional, make_problem, sweep
+from bundlemf.cli import RunConfig, build_problem
+from bundlemf.functional import ExponentOverflowError, minimize
 from bundlemf.geometry import build_grid, random_band_limited
 from bundlemf.sweep import (
     SweepRecord,
@@ -59,10 +63,116 @@ class TestSweep:
         assert rec.energy == bundle_energy(u, spec.conn, spec.grid)
         assert rec.jvalue == evaluate_J(u, spec.with_rho(6.0))
 
+    def test_record_from_result_equals_recomputed(self):
+        spec = build_problem(RunConfig(n=32, h_preset="exp-cos:1.0",
+                                       connection="exact:cos-x:0.3"))
+        rho = 8 * np.pi - 0.25
+        init = random_band_limited(spec.grid, np.random.default_rng(2), amplitude=0.3)
+        res = minimize(spec.with_rho(rho), init)
+        assert res.converged and res.iterations > 0
+        taken = record_from_state(res.u, rho, spec, res)
+        recomputed = record_from_state(res.u, rho, spec)
+        assert taken.iterations == res.iterations and recomputed.iterations == 0
+        for f in fields(SweepRecord):
+            if f.name != "iterations":
+                assert getattr(taken, f.name) == getattr(recomputed, f.name), f.name
+
     def test_kmax_validation(self, trivial_sweep):
         spec, _ = trivial_sweep
         with pytest.raises(ValueError):
             subcritical_sweep(spec, 3)
+
+
+def warm_start_loop(spec, kmax):
+    """The sweep without a predictor: every step starts from the previous
+    minimizer (all steps converge on the problems used here)."""
+    u, out = None, []
+    for k in range(1, kmax + 1):
+        rho_k = 8 * np.pi - 1.0 / k
+        res = minimize(spec.with_rho(rho_k), u)
+        out.append(record_from_state(res.u, rho_k, spec, res))
+        u = res.u
+    return out
+
+
+class TestPredictor:
+    @pytest.mark.parametrize("connection, h_preset", [
+        ("zero", "exp-cos:1.0"), ("exact:cos-x:0.3", "exp-cos:0.5")])
+    def test_matches_warm_start_loop_in_fewer_steps(self, connection, h_preset):
+        spec = build_problem(RunConfig(n=64, connection=connection, h_preset=h_preset))
+        records = subcritical_sweep(spec, 16)
+        reference = warm_start_loop(spec, 16)
+        assert all(rec.converged for rec in reference)
+        for rec, ref in zip(records, reference, strict=True):
+            assert rec.converged and not rec.guard_hit
+            assert np.max(np.abs(rec.u.values - ref.u.values)) <= 1e-9
+            assert abs(rec.jvalue - ref.jvalue) <= 1e-10
+        assert [rec.predicted for rec in records[:2]] == [False, False]
+        assert any(rec.predicted for rec in records[2:])
+        assert (sum(rec.iterations for rec in records)
+                < sum(rec.iterations for rec in reference))
+
+    @staticmethod
+    def patched_minimize(monkeypatch, unconverged=False, fail_from_previous=()):
+        """Make every solve of sweep.minimize from a predicted start raise the
+        overflow error (or, with `unconverged`, return unconverged), and the
+        solve from the previous minimizer raise at the steps k listed; return
+        the log of (k, start kind) calls."""
+        solved, calls = [], []
+
+        def fake(spec_k, init=None, opts=functional.SolverOptions()):
+            k = round(1.0 / (8 * np.pi - spec_k.rho))
+            kind = ("init" if init is None
+                    else "previous" if any(init is u for u in solved) else "predicted")
+            calls.append((k, kind))
+            if kind == "predicted" and unconverged:
+                return replace(minimize(spec_k, init, opts), converged=False)
+            if kind == "predicted" or (kind == "previous" and k in fail_from_previous):
+                raise ExponentOverflowError("injected")
+            res = minimize(spec_k, init, opts)
+            solved.append(res.u)
+            return res
+
+        monkeypatch.setattr(sweep, "minimize", fake)
+        return calls
+
+    @pytest.mark.parametrize("unconverged", [False, True], ids=["overflow", "unconverged"])
+    def test_failed_prediction_reruns_from_previous(self, monkeypatch, unconverged):
+        spec = build_problem(RunConfig(n=32, h_preset="exp-cos:1.0"))
+        reference = warm_start_loop(spec, 8)
+        calls = self.patched_minimize(monkeypatch, unconverged)
+        records = subcritical_sweep(spec, 8)
+        assert [k for k, kind in calls if kind == "predicted"] == [3, 4, 5, 6, 7, 8]
+        for rec, ref in zip(records, reference, strict=True):
+            assert rec.converged and not rec.guard_hit and not rec.predicted
+            assert np.array_equal(rec.u.values, ref.u.values)
+            assert rec.jvalue == ref.jvalue and rec.iterations == ref.iterations
+
+    def test_failure_from_both_starts_is_flagged(self, monkeypatch):
+        spec = build_problem(RunConfig(n=32, h_preset="exp-cos:1.0"))
+        calls = self.patched_minimize(monkeypatch, fail_from_previous=(5,))
+        records = subcritical_sweep(spec, 8)
+        flagged = records[4]
+        assert flagged.guard_hit and not flagged.converged
+        assert flagged.iterations == 0 and not flagged.predicted
+        assert flagged.u is records[3].u
+        expected = replace(record_from_state(records[3].u, flagged.rho, spec),
+                           converged=False, guard_hit=True)
+        for f in fields(SweepRecord):
+            assert getattr(flagged, f.name) == getattr(expected, f.name), f.name
+        # the failure empties the history: one minimizer since it at k = 7,
+        # two (a secant) at k = 8
+        assert calls[-6:] == [(5, "predicted"), (5, "previous"), (6, "previous"),
+                              (7, "previous"), (8, "predicted"), (8, "previous")]
+        assert all(rec.converged for k, rec in enumerate(records, 1) if k != 5)
+
+    def test_sweep_warm_outer_steps(self):
+        """The benchmark's sweep-warm problem: 93 outer Newton steps from
+        the previous minimizer alone, 35 with the predictor."""
+        spec = build_problem(RunConfig(n=128, h_preset="exp-cos:1.0"))
+        records = subcritical_sweep(spec, 32)
+        assert all(rec.converged for rec in records)
+        assert sum(rec.iterations for rec in records) <= 40
 
 
 class TestDiagnosticsTrivial:
