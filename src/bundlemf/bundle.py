@@ -20,12 +20,12 @@ from .geometry import (
     codifferential,
     curl,
     drop_nyquist,
-    exterior_derivative,
     flat_laplacian_plus,
     flat_laplacian_raw,
     from_spectral,
     invert_flat_shifted,
     oneform_norm_field,
+    partial_derivatives,
     primitive,
     solve_flat_poisson_raw,
     spectral_inner,
@@ -61,7 +61,7 @@ class KernelBasis:
     """Covariantly-constant sections: dimension 0 or 1, never more.
 
     When the connection form is exact, w = df, the kernel is spanned by
-    tau1 ~ e^{-f} normalized to unit L2 norm; f carries the zero-mean gauge.
+    tau1 ~ e^{-f} normalized to unit L2 norm, f the zero-mean primitive.
 
     `component` and `project` act on raw arrays in the inner product with
     quadrature `weights` (Euclidean when None): the projection onto H1, the
@@ -73,7 +73,6 @@ class KernelBasis:
 
     dim: int
     tau1: ScalarField | None = None
-    f: ScalarField | None = None
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -127,10 +126,9 @@ def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
     period2 = float(np.mean(w.c2))
     if curl_inf > eps or abs(period1) > eps or abs(period2) > eps:
         return KernelBasis(dim=0)
-    f = primitive(w, grid)
-    tau = np.exp(-f.values)
+    tau = np.exp(-primitive(w, grid).values)
     tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
-    return KernelBasis(dim=1, tau1=ScalarField(tau), f=f)
+    return KernelBasis(dim=1, tau1=ScalarField(tau))
 
 
 def project_H1(u: ScalarField, kb: KernelBasis, grid: TorusGrid) -> ScalarField:
@@ -139,11 +137,15 @@ def project_H1(u: ScalarField, kb: KernelBasis, grid: TorusGrid) -> ScalarField:
 
 
 def bundle_energy(u: ScalarField, conn: Connection, grid: TorusGrid) -> float:
-    """Covariant Dirichlet energy  int |du + u w|^2_g dv_g  >= 0."""
-    du = exterior_derivative(u, grid)
-    d1 = du.c1 + u.values * conn.omega.c1
-    d2 = du.c2 + u.values * conn.omega.c2
-    return float(np.sum(d1 * d1 + d2 * d2) * grid.h**2)
+    """Covariant Dirichlet energy  int |du + u w|^2_g dv_g  >= 0, one
+    component at a time, squared and summed in place."""
+    density, comps = 0.0, partial_derivatives(u.values, grid)
+    for w in (conn.omega.c1, conn.omega.c2):
+        d = next(comps)
+        d += u.values * w
+        density += d * d
+        del d
+    return float(np.sum(density) * grid.h**2)
 
 
 def bundle_laplacian_raw(u: np.ndarray, conn: Connection, grid: TorusGrid) -> np.ndarray:
@@ -194,18 +196,21 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
     and every output of `apply` must lie in the residuals' range, every
     output of `precond` in the iterates' range.  Stops when ||r|| <= tol
     ||b||, after max_iter steps, or on a direction with <p, A p> <= 0, and
-    returns the iterate reached so far.  `b` is copied once and not kept;
-    the outputs of `apply` are overwritten.
+    returns the iterate reached so far.
+
+    Holds x, r, p and one work vector: `b` becomes r and is overwritten
+    (pass a copy to keep it), z = precond(r) is released once p is updated,
+    A p once r is; the outputs of `apply` are overwritten.
     """
     bnorm = np.sqrt(inner(b, b))
     x = np.zeros_like(b)
     if bnorm == 0.0:
         return x, PCGInfo("converged", 0, 0.0)
-    r = b.copy()
-    del b                         # a caller's temporary is freed here
+    r = b
     z = precond(r)
     p = z.copy()
     rz = inner(r, z)
+    del z
     reason, it, rnorm = "max_iter", 0, bnorm
     while it < max_iter:
         Ap = apply(p)
@@ -214,9 +219,10 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
             reason = "negative_curvature"
             break
         alpha = rz / pAp
-        x += alpha * p
         Ap *= alpha
         r -= Ap
+        del Ap
+        x += alpha * p
         it += 1
         rr = inner(r, r)
         rnorm = np.sqrt(rr)
@@ -227,6 +233,7 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
         rz_new = rr if z is r else inner(r, z)   # plain CG: z is r itself
         p *= rz_new / rz
         p += z
+        del z
         rz = rz_new
     return x, PCGInfo(reason, it, float(rnorm / bnorm))
 
@@ -264,7 +271,7 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     and the diagonal preconditioner grid.shifted_inverse, inner products are
     Parseval's, tau1 is deflated by its cached masked transform (in the
     right-hand side, the operator and the preconditioner), and x is
-    transformed back once.
+    transformed back once.  b is not kept once transformed.
     """
     V = conn.potential.values
     if not V.any():
@@ -280,24 +287,13 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
         def deflate(Z):
             return Z
 
-    X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)),
-                  deflate(to_spectral(b, grid)),
+    B = deflate(to_spectral(b, grid))
+    del b
+    X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
                   precond=lambda R: deflate(grid.shifted_inverse * R),
                   inner=spectral_inner, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
     return from_spectral(X, grid)
-
-
-def solve_bundle_poisson(rhs: ScalarField, conn: Connection, grid: TorusGrid,
-                         kb: KernelBasis, tol: float = PCG_TOL,
-                         max_iter: int = PCG_MAX_ITER) -> ScalarField:
-    """Solve (Delta_g + V) u = rhs on the complement of the kernel.
-
-    The caller must supply a right-hand side orthogonal to tau1 in L2(dv_g)
-    when the kernel is one-dimensional; see `solve_symmetrized`.
-    """
-    return ScalarField(solve_symmetrized(grid.exp2v * rhs.values, conn, grid, kb,
-                                         tol=tol, max_iter=max_iter))
 
 
 # ---------------------------------------------------------------------------
@@ -415,22 +411,3 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
         Ap = sum(ci * Ab for ci, (_, Ab) in zip(c[1:], basis[1:]))
         x, Ax = c[0] * x + p, c[0] * Ax + Ap
 
-
-def dense_bundle_matrix(conn: Connection, grid: TorusGrid) -> np.ndarray:
-    """Dense matrix of the bundle Laplacian in the L2(dv_g) inner product.
-
-    Intended for small grids only (n <= 32); used as an independent oracle
-    for the kernel dichotomy and the Poincare eigensolve.
-    """
-    n = grid.n
-    N = n * n
-    # matrix of the operator in nodal coordinates, then symmetrize with the
-    # quadrature weights: A_sym = W^{1/2} A W^{-1/2} with W = area weights
-    cols = []
-    eye = np.eye(N)
-    for j in range(N):
-        e = ScalarField(eye[:, j].reshape(n, n))
-        cols.append(bundle_laplacian(e, conn, grid).values.ravel())
-    A = np.array(cols).T
-    w = np.sqrt(grid.area_element.ravel())
-    return A * (w[:, None] / w[None, :])

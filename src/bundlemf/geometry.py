@@ -171,10 +171,17 @@ def oneform_norm_field(a: OneForm, grid: TorusGrid) -> ScalarField:
 # spectral calculus
 # ---------------------------------------------------------------------------
 
+def _rfft2(u: np.ndarray) -> np.ndarray:
+    """np.fft.rfft2 of a real array, bit for bit, with both 1-D passes
+    writing into one buffer (the plain call allocates one per pass)."""
+    out = np.empty((u.shape[0], u.shape[1] // 2 + 1), dtype=complex)
+    return np.fft.rfft2(u, out=out)
+
+
 def fourier_multiply(u: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """The Fourier multiplier `symbol`, an array in the rfft2 layout of
     TorusGrid.k2, applied to a real array: one FFT pair, multiplied in place."""
-    uh = np.fft.rfft2(u)
+    uh = _rfft2(u)
     uh *= symbol
     return np.fft.irfft2(uh, s=u.shape)
 
@@ -184,14 +191,18 @@ def pseudo_inverse(symbol: np.ndarray) -> np.ndarray:
     return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
 
 
+def partial_derivatives(u: np.ndarray, grid: TorusGrid):
+    """u_x, then u_y, of a raw array (3 FFTs), yielded one at a time so a
+    caller need not hold both; the transform of u goes before the second."""
+    uh = _rfft2(u)
+    yield np.fft.irfft2(1j * grid.kx * uh, s=u.shape)
+    yield np.fft.irfft2(np.multiply(1j * grid.ky, uh, out=uh), s=u.shape)
+
+
 def exterior_derivative(u: ScalarField, grid: TorusGrid) -> OneForm:
     """du by trigonometric differentiation; exact on band-limited fields."""
     _check_shape(u, grid)
-    uh = np.fft.rfft2(u.values)
-    return OneForm(
-        np.fft.irfft2(1j * grid.kx * uh, s=u.values.shape),
-        np.fft.irfft2(1j * grid.ky * uh, s=u.values.shape),
-    )
+    return OneForm(*partial_derivatives(u.values, grid))
 
 
 def codifferential(a: OneForm, grid: TorusGrid) -> ScalarField:
@@ -218,7 +229,7 @@ def primitive(a: OneForm, grid: TorusGrid) -> ScalarField:
     """Least-squares primitive f of a 1-form (df = a when a is exact), in the
     zero-mean gauge: 3 FFTs."""
     _check_shape(a, grid)
-    num = -1j * (grid.kx * np.fft.rfft2(a.c1) + grid.ky * np.fft.rfft2(a.c2))
+    num = -1j * (grid.kx * _rfft2(a.c1) + grid.ky * _rfft2(a.c2))
     return ScalarField(np.fft.irfft2(num * pseudo_inverse(grid.k2), s=a.c1.shape))
 
 
@@ -238,8 +249,8 @@ def _fold_k2(sh: np.ndarray, P: np.ndarray, grid: TorusGrid) -> np.ndarray:
 def flat_laplacian_plus(p: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """drop_nyquist(flat_laplacian_raw(p) + e^{2v} V p) with the mask folded
     into the symbol: 3 FFTs instead of 4."""
-    sh = np.fft.rfft2(grid.exp2v * V * p)
-    return np.fft.irfft2(_fold_k2(sh, np.fft.rfft2(p), grid), s=p.shape)
+    sh = _rfft2(grid.exp2v * V * p)
+    return np.fft.irfft2(_fold_k2(sh, _rfft2(p), grid), s=p.shape)
 
 
 def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -251,7 +262,7 @@ def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np
     q = np.fft.irfft2(P, s=(grid.n, grid.n))
     q *= grid.area_element
     q *= V
-    sh = np.fft.rfft2(q)
+    sh = _rfft2(q)
     del q
     sh *= grid.n**2
     return _fold_k2(sh, P, grid)
@@ -259,7 +270,7 @@ def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np
 
 def to_spectral(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """The masked transform: Nyquist-free rfft2 coefficients of a real array."""
-    uh = np.fft.rfft2(u)
+    uh = _rfft2(u)
     uh *= grid.mask
     return uh
 

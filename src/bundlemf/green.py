@@ -78,10 +78,11 @@ def _cutoff_derivs(r: np.ndarray):
     r0 = CUTOFF_RADIUS
     t = (r - r0) / r0
     inside = (t > 0.0) & (t < 1.0)
+    t = t[inside]
     c1 = np.zeros_like(r)
     c2 = np.zeros_like(r)
-    c1[inside] = -_STEP1(t[inside]) / r0
-    c2[inside] = -_STEP2(t[inside]) / r0**2
+    c1[inside] = -_STEP1(t) / r0
+    c2[inside] = -_STEP2(t) / r0**2
     return c1, c2
 
 
@@ -95,37 +96,40 @@ def _radial_moments() -> tuple[float, float, float]:
     return 0.9621780513399368, 0.01530636209626765, 3.8487122059357146
 
 
-def _commutator_field(r: np.ndarray) -> np.ndarray:
-    """Smooth part m of Delta_flat(-4 chi log r) = -8 pi delta + m.
+def _commutator_field(rr: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Smooth part m of Delta_flat(-4 chi log r) = -8 pi delta + m, given rr,
+    the distance with 1 at the pole (outside the ramp), and L = log rr.
 
     Supported on the ramp annulus; normalized afterwards so its discrete
     flat integral is exactly 8 pi, which the continuum identity requires.
     """
-    c1, c2 = _cutoff_derivs(r)
-    rr = np.where(r > 0.0, r, 1.0)
-    L = np.log(rr)
-    return -4.0 * (c2 * L + c1 * L / rr + 2.0 * c1 / rr)
+    c1, c2 = _cutoff_derivs(rr)
+    c2 *= L                       # -4 (c2 L + c1 L / rr + 2 c1 / rr), in place
+    c2 += c1 * L / rr
+    c2 += 2.0 * c1 / rr
+    c2 *= -4.0
+    return c2
 
 
 # ---------------------------------------------------------------------------
 # backends for the smooth solve
 # ---------------------------------------------------------------------------
 
-def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarray:
-    """Solve (Delta_g + V) w = rhs for w orthogonal to the kernel.
+def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
+    """Solve (Delta_g + V) w = rhs[0] for w orthogonal to the kernel.
 
-    rhs must already be projected; it is overwritten by e^{2v} rhs, so that
-    no second right-hand side lives through the solve.  The spectral backend
-    is the bundle Poisson solve; the fd backend inverts the 5-point symbol
-    directly when V vanishes and runs deflated PCG otherwise, with no
-    Nyquist filter since the 5-point symbol is positive there.
+    rhs holds the projected right-hand side, scaled in place to e^{2v} rhs
+    and taken out of the list, so no frame keeps it once transformed.  The
+    spectral backend is the bundle Poisson solve; the fd backend inverts the
+    5-point symbol directly when V vanishes and runs deflated PCG otherwise,
+    with no Nyquist filter since the 5-point symbol is positive there.
     """
     g = spec.grid
-    b = rhs
-    b *= g.area_element
-    b *= g.n**2                   # e^{2v} = area_element / h^2, exactly
+    rhs[0] *= g.area_element
+    rhs[0] *= g.n**2              # e^{2v} = area_element / h^2, exactly
     if backend == "spectral":
-        return solve_symmetrized(b, spec.conn, g, spec.kb)
+        return solve_symmetrized(rhs.pop(), spec.conn, g, spec.kb)
+    b = rhs.pop()
     sym = five_point_symbol(g)
     V = spec.conn.potential.values
     if not V.any():
@@ -151,7 +155,8 @@ def _solve_smooth(rhs: np.ndarray, spec: ProblemSpec, backend: str) -> np.ndarra
 
 def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
                 solvability_tol: float = 1e-8) -> GreenData:
-    """Green section at grid node p = (i, j)."""
+    """Green section at grid node p = (i, j).  Through the smooth solve it
+    holds one n x n array, the log field s: log r is formed again after it."""
     g = spec.grid
     if float(p[0]) != int(p[0]) or float(p[1]) != int(p[1]):
         raise ValueError(f"p must be a grid node (integer pair), got {p}")
@@ -160,24 +165,30 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
         raise ValueError(f"unknown backend {backend!r}")
 
     r = torus_distance(g, (i, j))
+    s = -4.0 * cutoff(r)                  # times log r below: the log field
     rr = np.where(r > 0.0, r, 1.0)
     L = np.log(rr)
+    s *= L
 
     # moment-matched mollification: the discrete mass AND second moment of
     # the commutator field match the continuum (8 pi and its r^2 moment), so
     # the solvability pairing against any smooth section is exact through
     # the quadratic term of its Taylor expansion at p
     log0, log2, commutator2 = _radial_moments()
-    m = _commutator_field(r)
-    mom = np.array([m.sum(), (m * r**2).sum()]) * g.h**2
-    cross = np.array([(m * r**2).sum(), (m * r**4).sum()]) * g.h**2
+    m = _commutator_field(rr, L)
+    del rr, L
+    r2m = r**2 * m
+    mom = np.array([m.sum(), r2m.sum()]) * g.h**2
+    cross = np.array([r2m.sum(), (m * r**4).sum()]) * g.h**2
     coeff = np.linalg.solve(np.array([[mom[0], cross[0]], [mom[1], cross[1]]]),
                             np.array([8.0 * np.pi, commutator2]))
-    m = coeff[0] * m + coeff[1] * (r**2 * m)
+    m *= coeff[0]                         # coeff[0] m + coeff[1] r^2 m, in place
+    r2m *= coeff[1]
+    m += r2m
+    del r2m
 
     # same treatment for the log field: the singular node carries the mass
     # defect and its 4-neighbour shell the second-moment defect
-    s = -4.0 * cutoff(r) * L
     shell = [((i + 1) % g.n, j), ((i - 1) % g.n, j),
              ((i, (j + 1) % g.n)), ((i, (j - 1) % g.n))]
     m2_s = float(sum(s[a, b] for a, b in shell)) * g.h**2 * g.h**2
@@ -192,30 +203,33 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     kb = spec.kb
     area = g.area_element
     f = m / g.exp2v - 8.0 * np.pi / g.total_area - spec.conn.potential.values * s
+    del r, m
     lambda1 = 0.0
     if kb.dim == 1:
         t1 = kb.tau1.values
         lambda1 = 8.0 * np.pi * (t1[i, j] - np.sum(t1 * area) / g.total_area)
-        f = f - lambda1 * t1
+        f -= lambda1 * t1
     residual = kb.component(f, area)
     if abs(residual) > solvability_tol:
         raise SolvabilityError(
             f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
             "the multiplier and the discretization are inconsistent")
 
-    f = kb.project(f, area)
-    del r, rr, m                          # the smooth solve is the memory peak
-    w = _solve_smooth(f, spec, backend)
+    rhs = [kb.project(f, area)]           # handed over: freed once transformed
+    del f
+    w = _solve_smooth(rhs, spec, backend)
 
     vp = float(g.v.values[i, j])
     B = s + w
     B[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
     G = kb.project(B, area)
+    del s, w, B
     A_p = float(G[i, j])
     mean_G = float(np.sum(G * area))
 
-    eta = G + 4.0 * L + 4.0 * vp - A_p    # d_g ~ e^{v(p)} r near p
-    eta[i, j] = 0.0
+    r = torus_distance(g, (i, j))
+    eta = G + 4.0 * np.log(np.where(r > 0.0, r, 1.0)) + 4.0 * vp - A_p
+    eta[i, j] = 0.0                       # d_g ~ e^{v(p)} r near p
 
     return GreenData(p=(i, j), G=ScalarField(G), eta=ScalarField(eta), A_p=A_p,
                      lambda1=float(lambda1), meanG=mean_G,

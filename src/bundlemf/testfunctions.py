@@ -183,7 +183,6 @@ class QkFamily:
     R: float
     c: float
     field: ScalarField            # projected section coefficient
-    q_raw: ScalarField            # unprojected piecewise profile
     greendata: GreenData
     shift: float                  # projection coefficient <q, tau1>
 
@@ -224,14 +223,14 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     r = torus_distance(g, (i, j))
     c = 2.0 * np.log1p(R * R / 8.0) - 4.0 * np.log(R) + 4.0 * np.log(k) + gd.A_p
 
-    ramp = _qk_ramp(r, R / k)
-    q = np.where(r <= R / k,
-                 bubble_cap(c, k, r),
-                 gd.G.values - ramp * gd.eta.values)
+    q = _qk_ramp(r, R / k)                # G - ramp eta, then the cap, in place
+    q *= gd.eta.values
+    np.subtract(gd.G.values, q, out=q)
+    cap = r <= R / k
+    q[cap] = bubble_cap(c, k, r[cap])
     return QkFamily(p=(i, j), k=k, R=R, c=c,
                     field=ScalarField(spec.kb.project(q, g.area_element)),
-                    q_raw=ScalarField(q), greendata=gd,
-                    shift=spec.kb.component(q, g.area_element))
+                    greendata=gd, shift=spec.kb.component(q, g.area_element))
 
 
 def _qk_ramp(r: np.ndarray, a: float) -> np.ndarray:
@@ -291,20 +290,24 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     energy = bundle_energy(fam.field, spec.conn, g)
     energy_closed = qk_energy_closed(fam.k, gd, spec)
 
-    logint, _, _ = log_mass(fam.field.values, spec)
+    logint = log_mass(fam.field.values, spec)[0]
     logint_closed = qk_logint_closed(fam.k, gd, spec)
-
-    r = torus_distance(g, fam.p)
-    bubble_meas = _masked_gradient_energy(fam.q_raw.values, r <= fam.R / fam.k, g)
-    bubble_closed = qk_bubble_region_closed(fam.k, fam.R)
 
     jval = evaluate_J(fam.field, spec8, energy)
     lam = critical_value(gd, spec)
 
+    r = torus_distance(g, fam.p)
     ring = np.abs(r - fam.R / fam.k) <= g.h
     jump = float(np.max(np.abs(
         bubble_cap(fam.c, fam.k, r[ring])
         - (gd.G.values[ring] - _qk_ramp(r[ring], fam.R / fam.k) * gd.eta.values[ring]))))
+
+    # build_Qk wrote the cap itself on the cells where this reads the profile
+    cap = r <= fam.R / fam.k
+    profile = bubble_cap(fam.c, fam.k, r)
+    del r
+    bubble_meas = _masked_gradient_energy(profile, cap, g)
+    bubble_closed = qk_bubble_region_closed(fam.k, fam.R)
 
     return {
         "k": fam.k, "R": fam.R, "p": list(fam.p),
@@ -320,11 +323,15 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
 
 
 def _masked_gradient_energy(u: np.ndarray, mask: np.ndarray, grid: TorusGrid) -> float:
-    """Forward-difference Dirichlet energy over cells whose corners lie in mask."""
+    """Forward-difference Dirichlet energy over cells whose corners lie in
+    mask, so it reads u on mask only."""
     ux = (np.roll(u, -1, 0) - u) / grid.h
     uy = (np.roll(u, -1, 1) - u) / grid.h
+    ux *= ux                      # ux^2 + uy^2, in place
+    uy *= uy
+    ux += uy
     cell = mask & np.roll(mask, -1, 0) & np.roll(mask, -1, 1)
-    return float(np.sum((ux * ux + uy * uy)[cell]) * grid.h**2)
+    return float(np.sum(ux[cell]) * grid.h**2)
 
 
 def qk_gap_sequence(p, ks, spec: ProblemSpec) -> dict:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,19 @@ def count_fft_calls(monkeypatch) -> list:
         monkeypatch.setattr(np.fft, name,
                             lambda *a, _fn=fn, **k: calls.append(_fn) or _fn(*a, **k))
     return calls
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of one call(); an untraced call first
+    fills the caches it keeps (tau1's transform), so only its own arrays
+    count."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def spy_pcg(monkeypatch, module) -> list:

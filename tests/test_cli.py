@@ -21,7 +21,7 @@ from bundlemf.presets import (
     save_scalar_csv,
 )
 
-from conftest import fresh_python
+from conftest import fresh_python, traced_peak
 
 VOLATILE = ("wall_time_s", "timestamp")
 
@@ -110,6 +110,21 @@ class TestCommands:
         assert run(tmp_path, ["reduce-check", "--n", "32"]) == 0
         s = read_summary(tmp_path, "reduce-check")
         assert s["results"]["max_discrepancy"] <= 1e-12
+
+
+class TestMemory:
+    def test_qk_peak(self, tmp_path):
+        """The whole qk command, problem included, at n = 256: the problem
+        keeps 8.5 n x n arrays and the audit, the peak, adds tau1's cached
+        transform, G, eta, the section and the energy's 4; at most 17.5
+        arrays (16.6 measured)."""
+        n = 256
+        argv = ["qk", "--n", str(n), "--k", "64", "--connection", "exact:cos-x:0.3",
+                "--p", "3,5", "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            peak = traced_peak(lambda: main(argv))
+        assert read_summary(tmp_path, "qk")["status"] == "ok"
+        assert peak <= 17.5 * 8 * n * n
 
 
 class TestExitCodes:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bundlemf
 from bundlemf import (
@@ -16,7 +18,7 @@ from bundlemf import (
     laplacian,
     oneform_inner,
 )
-from bundlemf.geometry import random_band_limited
+from bundlemf.geometry import _rfft2, random_band_limited
 
 from conftest import axis, cos_x_field, fresh_python
 
@@ -115,6 +117,16 @@ class TestIntegrate:
     def test_shape_mismatch(self, grid64):
         with pytest.raises(ValueError):
             integrate(ScalarField(np.zeros((32, 32))), grid64)
+
+
+class TestForwardTransform:
+    @given(n=st.sampled_from([16, 32, 64, 128]), seed=st.integers(0, 2**32 - 1))
+    def test_bits_of_numpy_rfft2(self, n, seed):
+        """The one-buffer transform is numpy's rfft2, bit for bit."""
+        u = np.random.default_rng(seed).standard_normal((n, n))
+        ours, ref = _rfft2(u), np.fft.rfft2(u)
+        assert ours.shape == ref.shape and ours.dtype == ref.dtype
+        assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
 
 
 class TestExteriorDerivative:

@@ -1,4 +1,3 @@
-import tracemalloc
 from math import comb, factorial
 
 import numpy as np
@@ -26,7 +25,7 @@ from bundlemf.green import (
 )
 from bundlemf.presets import make_v_field
 
-from conftest import df_connection, ones_field, zero_connection
+from conftest import df_connection, ones_field, traced_peak, zero_connection
 
 RHO8 = 8 * np.pi
 
@@ -267,20 +266,13 @@ class TestCriticalValueMap:
 class TestMemory:
     def test_green_solve_peak(self):
         """The traced peak of one spectral Green solve, exact:cos-x:0.3 at
-        n = 256, stays at or below 13 n x n float64 arrays (11.1 measured);
-        the ratio is the same at n = 1024, where this solve sets the CLI's
-        peak memory."""
+        n = 256, stays at or below 8 n x n float64 arrays (7.0 measured, in
+        the assembly; the smooth solve holds 6); the ratio is the same at
+        n = 1024."""
         n = 256
         g = build_grid(n)
         spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
-        solve_green((3, 5), spec)           # warm-up: trace the solve's own arrays only
-        tracemalloc.start()
-        try:
-            solve_green((3, 5), spec)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 13 * 8 * n * n
+        assert traced_peak(lambda: solve_green((3, 5), spec)) <= 8 * 8 * n * n
 
 
 # the moments against 40-digit mpmath (tanh-sinh on the same integrands)
@@ -326,7 +318,7 @@ class TestRadialMoments:
             return -4.0 * cutoff(np.array([t]))[0] * np.log(t)
 
         def commutator(t):
-            return _commutator_field(np.array([t]))[0]
+            return _commutator_field(np.array([t]), np.log(np.array([t])))[0]
 
         ref = np.array([moment(log_field, 0), moment(log_field, 2), moment(commutator, 2)])
         np.testing.assert_allclose(_radial_moments(), ref, rtol=1e-14, atol=0)

@@ -14,7 +14,10 @@ from bundlemf import (
     tm_probe,
 )
 from bundlemf.geometry import build_grid, torus_distance
+from bundlemf.green import solve_green
 from bundlemf.testfunctions import (
+    _qk_ramp,
+    bubble_cap,
     bubble_checks,
     bubble_energy_closed,
     bubble_energy_numeric,
@@ -26,7 +29,7 @@ from bundlemf.testfunctions import (
     qk_gap_sequence,
 )
 
-from conftest import ones_field, zero_connection
+from conftest import df_connection, ones_field, traced_peak, zero_connection
 
 
 class TestBubble:
@@ -203,6 +206,60 @@ class TestQk:
         out = qk_gap_sequence((0, 0), (16, 32, 64), spec256)
         assert len(out["reports"]) == 3
         assert np.isfinite(out["extrapolated"])
+
+
+@pytest.fixture(scope="module")
+def exact_spec256():
+    n = 256
+    g = build_grid(n)
+    return make_problem(g, df_connection(g, 0.3), ones_field(n), 8 * np.pi)
+
+
+def unprojected_qk(fam, spec):
+    """The piecewise profile q of Q_k as one np.where over the whole grid,
+    the way build_Qk formed it before it assembled q in place."""
+    g, gd = spec.grid, fam.greendata
+    r = torus_distance(g, fam.p)
+    a = fam.R / fam.k
+    return np.where(r <= a, bubble_cap(fam.c, fam.k, r),
+                    gd.G.values - _qk_ramp(r, a) * gd.eta.values)
+
+
+class TestQkInPlace:
+    @pytest.mark.parametrize("p", [(3, 5), (128, 200)])
+    @pytest.mark.parametrize("k", [16, 64])
+    def test_same_bits_as_whole_grid_profile(self, exact_spec256, p, k):
+        """build_Qk's in-place q projects to the same field, and the audit's
+        bubble-region energy, read from the cap alone, equals the forward-
+        difference energy of the full q over the cap cells."""
+        spec, g = exact_spec256, exact_spec256.grid
+        fam = build_Qk(p, k, spec)
+        q = unprojected_qk(fam, spec)
+        assert np.array_equal(fam.field.values, spec.kb.project(q, g.area_element))
+        assert fam.shift == spec.kb.component(q, g.area_element)
+
+        mask = torus_distance(g, fam.p) <= fam.R / fam.k
+        ux = (np.roll(q, -1, 0) - q) / g.h
+        uy = (np.roll(q, -1, 1) - q) / g.h
+        cell = mask & np.roll(mask, -1, 0) & np.roll(mask, -1, 1)
+        expected = float(np.sum((ux * ux + uy * uy)[cell]) * g.h**2)
+        assert qk_audit(fam, spec)["bubble_energy"] == expected
+
+    def test_build_peak(self, exact_spec256):
+        """Q_k is assembled in one n x n array besides the distance field and
+        the ramp's temporaries: at most 5 arrays at n = 256 (4.1 measured)."""
+        spec = exact_spec256
+        gd = solve_green((3, 5), spec)
+        n = spec.grid.n
+        assert traced_peak(lambda: build_Qk((3, 5), 64, spec, gd)) <= 5 * 8 * n * n
+
+    def test_audit_peak(self, exact_spec256):
+        """The audit's peak is the covariant energy, which squares each
+        component in place: at most 5 arrays at n = 256 (4.0 measured)."""
+        spec = exact_spec256
+        fam = build_Qk((3, 5), 64, spec)
+        n = spec.grid.n
+        assert traced_peak(lambda: qk_audit(fam, spec)) <= 5 * 8 * n * n
 
 
 class TestExtrapolation:
