@@ -8,7 +8,7 @@ V = |w|^2_g + d* w, which is what every solver in this module exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 imports it on first use, inside a solve)
@@ -19,11 +19,8 @@ from .geometry import (
     TorusGrid,
     codifferential,
     curl,
-    drop_nyquist,
-    flat_laplacian_plus,
     flat_laplacian_raw,
     from_spectral,
-    invert_flat_shifted,
     oneform_norm_field,
     partial_derivatives,
     primitive,
@@ -68,7 +65,7 @@ class KernelBasis:
     complement of the kernel, for every solver.  <tau1, tau1>_w is summed
     once per weights array.  `spectral` gives the Fourier-space solvers the
     masked transforms of tau1 and of e^{2v} tau1, each computed once per
-    grid.
+    grid, and `deflation` the one projection they deflate tau1 with.
     """
 
     dim: int
@@ -108,6 +105,24 @@ class KernelBasis:
             T.setflags(write=False)
             hit = self._spectra[(id(grid), weighted)] = (grid, T)
         return hit[1]
+
+    def deflation(self, grid: TorusGrid, against_weighted: bool = False,
+                  along_weighted: bool = False):
+        """The in-place map Z -> Z - (<Z, A> / <B, A>) B on Nyquist-free rfft2
+        coefficients, <.,.> Parseval's (geometry.spectral_inner) and A, B the
+        `spectral` transforms of tau1, weighted as flagged: Z made
+        Euclidean-orthogonal to A along B.  With A weighted, Z is
+        L2(dv_g)-orthogonal to tau1.  <B, A> is summed once; the identity
+        when the kernel is trivial."""
+        if self.dim == 0:
+            return lambda Z: Z
+        A, B = self.spectral(grid, against_weighted), self.spectral(grid, along_weighted)
+        ba = spectral_inner(B, A)
+
+        def deflate(Z):
+            Z -= (spectral_inner(Z, A) / ba) * B
+            return Z
+        return deflate
 
 
 def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
@@ -244,20 +259,6 @@ def require_converged(info: PCGInfo, what: str) -> None:
                                f" iterations at relative residual {info.residual:.3e}")
 
 
-def symmetrized_apply(conn: Connection, grid: TorusGrid):
-    """p -> (Delta_flat + e^{2v} V) p with the Nyquist modes dropped: the
-    flat-self-adjoint form e^{2v} (Delta_g + V) of the bundle Laplacian on
-    real arrays, in 3 FFTs by geometry.flat_laplacian_plus: the eigen-solve's
-    operator.  solve_symmetrized applies the same operator to Fourier
-    coefficients, by geometry.spectral_laplacian_plus.
-
-    See geometry.drop_nyquist: the spectral symbol has no stiffness on the
-    Nyquist modes, where a partly negative potential would be indefinite.
-    """
-    V = conn.potential.values
-    return lambda p: flat_laplacian_plus(p, V, grid)
-
-
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
                       kb: KernelBasis, tol: float = PCG_TOL,
                       max_iter: int = PCG_MAX_ITER) -> np.ndarray:
@@ -269,24 +270,14 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     The Krylov vectors are Nyquist-free rfft2 coefficients: b is transformed
     once, each step applies geometry.spectral_laplacian_plus (one FFT pair)
     and the diagonal preconditioner grid.shifted_inverse, inner products are
-    Parseval's, tau1 is deflated by its cached masked transform (in the
+    Parseval's, tau1 is deflated by KernelBasis.deflation (in the
     right-hand side, the operator and the preconditioner), and x is
     transformed back once.  b is not kept once transformed.
     """
     V = conn.potential.values
     if not V.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
-    if kb.dim == 1:
-        T = kb.spectral(grid)
-        tt = spectral_inner(T, T)
-
-        def deflate(Z):            # in place: only ever given pcg's temporaries
-            Z -= (spectral_inner(Z, T) / tt) * T
-            return Z
-    else:
-        def deflate(Z):
-            return Z
-
+    deflate = kb.deflation(grid)   # in place: only ever given pcg's temporaries
     B = deflate(to_spectral(b, grid))
     del b
     X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
@@ -325,89 +316,105 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
     L2(dv_g)-orthogonal to the kernel, and its unit eigenvector.
 
     Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541,
-    Alg. 4.1 with block size 1) on the pencil K x = lam e^{2v} x, K the
-    `symmetrized_apply` operator, preconditioned with
-    geometry.invert_flat_shifted.  Each step is a Rayleigh-Ritz on
-    span{x, T r, p} made L2(dv_g)-orthonormal by Gram-Schmidt; K x and K p
-    are carried along, so a step costs one preconditioner and one operator
-    apply.  p is dropped when it is nearly dependent on the other two.
-    `seed` draws the start vector.
+    Alg. 4.1 with block size 1) on the pencil K x = lam M x, in Fourier space
+    like solve_symmetrized: the vectors are Nyquist-free rfft2 coefficients,
+    K is geometry.spectral_laplacian_plus (one FFT pair), M the masked
+    e^{2v} (the identity on the flat torus, else one FFT pair), the
+    preconditioner T the diagonal grid.shifted_inverse, inner products are
+    Parseval's, and tau1 is deflated by KernelBasis.deflation.  Each step is
+    a Rayleigh-Ritz on span{x, T r, p} made M-orthonormal by Gram-Schmidt in
+    place; K x and K p, and M x and M p on a conformal metric, are carried
+    along, so a step costs one operator and one mass apply: 2 FFTs on the
+    flat torus, 4 on a conformal metric.  p is dropped when it is nearly
+    dependent on the other two.  `seed` draws the start vector, which is
+    transformed once, as is the eigenvector back.
 
-    `tol` bounds the relative residual ||K x - lam e^{2v} x|| / (|lam|
-    ||e^{2v} x||); the eigenvalue error goes like its square.  Raises
-    EigensolveError naming the reason (`max_iter`, or `stall` when the
-    residual has not reached a new low in EIG_STALL_STEPS steps), the step
-    count and the final relative residual; it never returns a pair short of
-    tol.
+    `tol` bounds the relative residual ||K x - lam M x|| / (|lam| ||M x||);
+    the eigenvalue error goes like its square.  Raises EigensolveError naming
+    the reason (`max_iter`, or `stall` when the residual has not reached a
+    new low in EIG_STALL_STEPS steps), the step count and the final relative
+    residual; it never returns a pair short of tol.
     """
-    apply = symmetrized_apply(conn, grid)
-    weights = grid.area_element
+    V, n2 = conn.potential.values, grid.n**2
+    deflate = kb.deflation(grid, against_weighted=True)
+    conformal = grid.v.values.any()
 
-    def dot(a, b):                              # L2(dv_g)
-        return float(np.sum(a * b * weights))
+    def mass(Z):            # M z, or None on the flat torus, where M z is z
+        if not conformal:
+            return None
+        z = from_spectral(Z, grid)
+        z *= grid.area_element  # e^{2v} h^2, and 1/h^2 = n^2 is exact
+        MZ = to_spectral(z, grid)
+        MZ *= n2
+        return MZ
 
-    if grid.v.values.any():
-        def mass(z):                            # e^{2v} z on the Nyquist-free fields
-            return drop_nyquist(grid.exp2v * z, grid)
-    else:
-        def mass(z):
-            return z
+    def m(v):               # the mass image of a vector v = [z, K z, M z]
+        return v[0] if v[2] is None else v[2]
 
-    if kb.dim == 1:                             # deflate the Nyquist-free part of tau1
-        kb = replace(kb, tau1=ScalarField(drop_nyquist(kb.tau1.values, grid)))
+    def dot(u, v):
+        return spectral_inner(u[0], m(v))
 
-    def deflate(z):
-        return kb.project(z, weights)
-
-    def orthonormalize(z, Az, basis):
-        """Gram-Schmidt of z (and its image Az, when known) against the
-        orthonormal basis, twice; None when less than EIG_DEPENDENT of z is left."""
-        norm0 = np.sqrt(dot(z, z))
+    def orthonormalize(v, basis):
+        """Gram-Schmidt of v against the M-orthonormal basis, twice, in place
+        on the arrays v holds (K z is None when not yet known); None when less
+        than EIG_DEPENDENT of z is left, else v."""
+        norm0 = np.sqrt(dot(v, v))
         for _ in range(2):
-            for b, Ab in basis:
-                c = dot(b, z)
-                z = z - c * b
-                if Az is not None:
-                    Az = Az - c * Ab
-        norm = np.sqrt(dot(z, z))
+            for b in basis:
+                c = dot(b, v)
+                for a, ab in zip(v, b):
+                    if a is not None:
+                        a -= c * ab
+        norm = np.sqrt(dot(v, v))
         if not norm > EIG_DEPENDENT * norm0:
             return None
-        return z / norm, (None if Az is None else Az / norm)
+        for a in v:
+            if a is not None:
+                a /= norm
+        return v
 
     def stopped(reason):
         return EigensolveError(f"eigensolve stopped on {reason} after {steps} steps"
                                f" at relative residual {res:.3e}")
 
     rng = np.random.default_rng(seed)
-    x, _ = orthonormalize(deflate(drop_nyquist(rng.standard_normal((grid.n, grid.n)),
-                                               grid)), None, [])
-    Ax, p, Ap = apply(x), None, None
+    X = deflate(to_spectral(rng.standard_normal((grid.n, grid.n)), grid))
+    x = orthonormalize([X, None, mass(X)], [])
+    x[1] = spectral_laplacian_plus(X, V, grid)
+    p = None
     best, since_best, steps = np.inf, 0, 0
     while True:
-        lam = float(np.vdot(x, Ax)) * grid.h**2 / dot(x, x)
-        Mx = mass(x)
-        r = Ax - lam * Mx
-        res = float(np.linalg.norm(r) / (abs(lam) * np.linalg.norm(Mx)))
+        lam = spectral_inner(x[0], x[1]) / dot(x, x)
+        R = lam * m(x)
+        np.subtract(x[1], R, out=R)             # r = K x - lam M x
+        res = float(np.sqrt(spectral_inner(R, R))
+                    / (abs(lam) * np.sqrt(spectral_inner(m(x), m(x)))))
         if res <= tol:
-            return lam, ScalarField(x)
+            u = from_spectral(x[0], grid)
+            u *= n2                             # unit in L2(dv_g), exactly
+            return lam, ScalarField(u)
         best, since_best = (res, 0) if res < best else (best, since_best + 1)
         if steps >= max_iter:
             raise stopped("max_iter")
         if since_best >= EIG_STALL_STEPS:
             raise stopped("stall")
         steps += 1
-        basis = [(x, Ax)]
-        q = None if p is None else orthonormalize(p, Ap, basis)
-        Tr = deflate(invert_flat_shifted(r, grid))
-        w = None if q is None else orthonormalize(Tr, None, basis + [q])
-        if w is None:      # no p, or p or T r dependent on the rest: go on without p
-            q, w = None, orthonormalize(Tr, None, basis)
+        R *= grid.shifted_inverse               # T r: r is not kept
+        deflate(R)
+        w = orthonormalize([R, None, mass(R)], [x])
         if w is None:
             raise stopped("stall")
-        basis += ([q] if q else []) + [(w[0], apply(w[0]))]
-        G = np.array([[float(np.vdot(a, Ab)) for _, Ab in basis] for a, _ in basis])
+        w[1] = spectral_laplacian_plus(w[0], V, grid)
+        q = None if p is None else orthonormalize(p, [x, w])
+        basis = [x, w] + ([q] if q else [])
+        G = np.array([[spectral_inner(a[0], b[1]) for b in basis] for a in basis])
         c = np.linalg.eigh(0.5 * (G + G.T))[1][:, 0]
-        p = sum(ci * b for ci, (b, _) in zip(c[1:], basis[1:]))
-        Ap = sum(ci * Ab for ci, (_, Ab) in zip(c[1:], basis[1:]))
-        x, Ax = c[0] * x + p, c[0] * Ax + Ap
-
+        for i in range(3):      # p = c1 w + c2 q, x = c0 x + p, in w's and x's arrays
+            if w[i] is not None:
+                w[i] *= c[1]
+                if q:
+                    w[i] += c[2] * q[i]
+                x[i] *= c[0]
+                x[i] += w[i]
+        p = w
+        del q, basis            # the old p, before the next step allocates

@@ -32,8 +32,8 @@ from .geometry import (
     ScalarField,
     TorusGrid,
     drop_nyquist,
+    fourier_multiply,
     from_spectral,
-    invert_flat_shifted,
     spectral_inner,
     spectral_laplacian_plus,
     to_spectral,
@@ -269,8 +269,8 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
     exact arithmetic this is the L2(dv_g) PCG preconditioned with
     (Delta_flat + 1)^{-1} e^{2v}; its stop test is on the Parseval norm of
     e^{2v} times the residual, which is the L2(dv_g) norm up to a constant
-    when v = 0.  tau1 is deflated by the cached transforms of
-    KernelBasis.spectral: the iterate and the preconditioned residuals are
+    when v = 0.  tau1 is deflated by KernelBasis.deflation over its cached
+    transforms: the iterate and the preconditioned residuals are
     kept L2(dv_g)-orthogonal to tau1 (Euclidean-orthogonal to e^{2v} tau1),
     the residuals and H^ P Euclidean-orthogonal to tau1.  A direction of m
     steps costs 2m + 3 FFTs.
@@ -279,21 +279,8 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
     gradient -project((Delta_flat + 1)^{-1} e^{2v} r); on negative curvature
     later, or at the 200-step cap, the iterate reached so far."""
     g = spec.grid
-    if spec.kb.dim == 1:
-        T, E = spec.kb.spectral(g), spec.kb.spectral(g, weighted=True)
-        te = spectral_inner(T, E)
-
-        def primal(Z):           # in place, on pcg's temporaries only
-            Z -= (spectral_inner(Z, E) / te) * T
-            return Z
-
-        def dual(R):
-            R -= (spectral_inner(R, T) / te) * E
-            return R
-    else:
-        def primal(Z):
-            return Z
-        dual = primal
+    primal = spec.kb.deflation(g, against_weighted=True)   # in place, on pcg's
+    dual = spec.kb.deflation(g, along_weighted=True)       # temporaries only
 
     # e^{2v} = area_element / h^2 scales the fields in place, as in the
     # Poisson apply
@@ -320,5 +307,5 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
                   precond=lambda R: primal(g.shifted_inverse * R),
                   inner=spectral_inner, tol=1e-3, max_iter=200)
     if info.reason == "negative_curvature" and info.iterations == 0:
-        return -project(invert_flat_shifted(r * g.exp2v, g))
+        return -project(fourier_multiply(r * g.exp2v, g.shifted_inverse))
     return from_spectral(X, g)

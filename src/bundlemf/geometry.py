@@ -238,34 +238,23 @@ def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return fourier_multiply(u, grid.k2)
 
 
-def _fold_k2(sh: np.ndarray, P: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """mask (sh + k2 P), in place in sh: the folded symbol of both
-    flat_laplacian_plus and spectral_laplacian_plus."""
-    sh += grid.k2 * P
-    sh *= grid.mask
-    return sh
-
-
-def flat_laplacian_plus(p: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """drop_nyquist(flat_laplacian_raw(p) + e^{2v} V p) with the mask folded
-    into the symbol: 3 FFTs instead of 4."""
-    sh = _rfft2(grid.exp2v * V * p)
-    return np.fft.irfft2(_fold_k2(sh, _rfft2(p), grid), s=p.shape)
-
-
 def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """flat_laplacian_plus on Nyquist-free rfft2 coefficients P, returning
-    coefficients: one FFT pair.  e^{2v} h^2 V (grid.area_element and V)
-    multiplies in place and 1/h^2 = n^2, a power of two and so exact, scales
-    the spectral result: grid.exp2v would allocate a field per call, and the
-    memory peak of a Green solve is in this apply."""
+    """The coefficients of drop_nyquist(Delta_flat p + e^{2v} V p), p the
+    real array with Nyquist-free rfft2 coefficients P: the flat-self-adjoint
+    form e^{2v} (Delta_g + V) of the bundle Laplacian, one FFT pair, with the
+    Nyquist mask folded into the symbol.  e^{2v} h^2 V (grid.area_element
+    and V) multiplies in place and 1/h^2 = n^2, a power of two and so exact,
+    scales the spectral result: grid.exp2v would allocate a field per call,
+    and the memory peak of a Green solve is in this apply."""
     q = np.fft.irfft2(P, s=(grid.n, grid.n))
     q *= grid.area_element
     q *= V
     sh = _rfft2(q)
     del q
     sh *= grid.n**2
-    return _fold_k2(sh, P, grid)
+    sh += grid.k2 * P
+    sh *= grid.mask
+    return sh
 
 
 def to_spectral(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -287,20 +276,15 @@ def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
 
 
-def invert_flat_shifted(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """(Delta_flat + 1)^{-1} u with the Nyquist row and column zeroed: the
-    preconditioner of the eigen-solve (see drop_nyquist) and of the Newton
-    step's first-step fallback; the Fourier-space PCGs, bundle Poisson and
-    Newton, multiply their coefficients by grid.shifted_inverse directly."""
-    return fourier_multiply(u, grid.shifted_inverse)
-
-
 def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Remove the Nyquist row/column modes.
+    """Remove the Nyquist row/column modes of a real array (2 FFTs).
 
     The derivative wavenumbers are zeroed at Nyquist, so those modes carry no
     discrete Dirichlet energy; any optimization over fields must stay in this
     filtered subspace or the functional is unbounded below along them.
+    `minimize` filters its iterates and residuals with it; the Krylov solves
+    never populate those modes, since their vectors are the Nyquist-free
+    coefficients of to_spectral.
     """
     return fourier_multiply(u, grid.mask)
 

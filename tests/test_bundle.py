@@ -27,14 +27,15 @@ from bundlemf.bundle import (
     pcg,
     smallest_eigenvalue,
     solve_symmetrized,
-    symmetrized_apply,
 )
 from bundlemf.geometry import (
     drop_nyquist,
     flat_laplacian_raw,
+    from_spectral,
     primitive,
     random_band_limited,
     spectral_inner,
+    spectral_laplacian_plus,
     to_spectral,
 )
 from bundlemf.presets import make_v_field
@@ -49,6 +50,14 @@ from conftest import (
     traced_peak,
     zero_connection,
 )
+
+
+def folded_apply(conn, grid):
+    """p -> the real array of spectral_laplacian_plus(to_spectral(p)): the
+    flat-self-adjoint e^{2v} (Delta_g + V) with the Nyquist modes dropped,
+    on real arrays."""
+    V = conn.potential.values
+    return lambda p: from_spectral(spectral_laplacian_plus(to_spectral(p, grid), V, grid), grid)
 
 
 def dense_bundle_matrix(conn, grid) -> np.ndarray:
@@ -256,14 +265,14 @@ class TestBundleOperators:
     @given(kind=st.sampled_from(["zero", "exact", "harmonic"]), conformal=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_folded_operator(self, grid32, kind, conformal, seed):
-        """symmetrized_apply K, with the Nyquist mask folded into its symbol,
-        is flat-self-adjoint, Nyquist-free, and equals the unfolded
-        drop_nyquist(Delta_flat p + e^{2v} V p)."""
+        """folded_apply K, spectral_laplacian_plus with the Nyquist mask
+        folded into its symbol, is flat-self-adjoint, Nyquist-free, and
+        equals the unfolded drop_nyquist(Delta_flat p + e^{2v} V p)."""
         grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
         make = {"zero": zero_connection, "exact": df_connection,
                 "harmonic": harmonic_connection}[kind]
         conn = make(grid)
-        K = symmetrized_apply(conn, grid)
+        K = folded_apply(conn, grid)
         rng = np.random.default_rng(seed)
         p, q = (drop_nyquist(rng.standard_normal((32, 32)), grid) for _ in range(2))
         Kp, Kq = K(p), K(q)
@@ -335,7 +344,7 @@ class TestSpectralPCG:
     def test_agrees_with_dense_solve(self, kind, conformal):
         """The dense solve of K x = b on an orthonormal basis of the
         Nyquist-free fields Euclidean-orthogonal to the Nyquist-free tau1,
-        K the matrix of symmetrized_apply."""
+        K the matrix of folded_apply."""
         n = 16
         grid = build_grid(n, cos_x_field(n, 0.3) if conformal else None)
         conn = df_connection(grid) if kind == "exact" else harmonic_connection(grid, 1.0, 2.0)
@@ -343,7 +352,7 @@ class TestSpectralPCG:
         assert kb.dim == (kind == "exact")
         b = random_band_limited(grid, np.random.default_rng(5)).values
         x = solve_symmetrized(b, conn, grid, kb)
-        K = np.column_stack([symmetrized_apply(conn, grid)(e.reshape(n, n)).ravel()
+        K = np.column_stack([folded_apply(conn, grid)(e.reshape(n, n)).ravel()
                              for e in np.eye(n * n)])
         evals, B = np.linalg.eigh(_nyquist_projector(grid))
         Q = B[:, evals > 0.5]
@@ -424,6 +433,43 @@ class TestPoincare:
         assert abs(lam - rayleigh) <= 1e-10 * lam
         if harmonic:
             assert abs(lam - (a * a + b * b)) <= 1e-10 * (a * a + b * b)
+
+    @pytest.mark.parametrize("v, per_step", [(None, 2), ("cos-x:0.3", 4)],
+                             ids=["flat", "cos-x"])
+    def test_fft_budget(self, monkeypatch, v, per_step):
+        """Each step applies the operator once, one FFT pair, and on a
+        conformal metric the mass once, one more pair (the initial x pays the
+        same); the start vector, tau1 and e^{2v} tau1 are transformed once and
+        the eigenvector back once."""
+        grid = build_grid(32, make_v_field(v, 32) if v else None)
+        conn = df_connection(grid)
+        kb = kernel_basis(conn, grid)
+        applies = []
+        monkeypatch.setattr(bundle, "spectral_laplacian_plus",
+                            lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
+        calls = count_fft_calls(monkeypatch)
+        smallest_eigenvalue(conn, grid, kb)
+        assert len(applies) > 1
+        assert len(calls) <= per_step * len(applies) + 4
+
+    def test_memory_peak(self):
+        """Gram-Schmidt and the updates run in place, r is freed once
+        preconditioned, and on the flat torus no mass images are carried: at
+        n = 128 the traced peak stays within 10 n x n arrays (8.2 measured)."""
+        n = 128
+        grid = build_grid(n)
+        conn = df_connection(grid)
+        kb = kernel_basis(conn, grid)
+        peak = traced_peak(lambda: smallest_eigenvalue(conn, grid, kb))
+        assert peak <= 10 * 8 * n * n
+
+    @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
+    def test_unit_eigenvector(self, v):
+        grid = build_grid(32, make_v_field(v, 32) if v else None)
+        conn = df_connection(grid)
+        kb = kernel_basis(conn, grid)
+        _, x = smallest_eigenvalue(conn, grid, kb)
+        assert abs(l2_inner(x, x, grid) - 1.0) <= 1e-12
 
     def test_refinement_stability(self):
         vals = []

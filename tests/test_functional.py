@@ -21,7 +21,7 @@ from bundlemf import functional
 from bundlemf.bundle import bundle_laplacian_raw, pcg
 from bundlemf.cli import RunConfig, build_problem
 from bundlemf.functional import RHO_CRITICAL, _newton_direction, _raw_residual, log_mass
-from bundlemf.geometry import build_grid, drop_nyquist, invert_flat_shifted, random_band_limited
+from bundlemf.geometry import build_grid, drop_nyquist, fourier_multiply, random_band_limited
 
 from conftest import (
     cos_x_field,
@@ -248,7 +248,7 @@ def physical_newton_direction(u, r, spec, project):
         return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
 
     def precond(z):
-        return project(invert_flat_shifted(z * g.exp2v, g))
+        return project(fourier_multiply(z * g.exp2v, g.shifted_inverse))
 
     x, info = pcg(hess, project(-r), precond=precond,
                   inner=lambda a, c: float(np.sum(a * c * area)), tol=1e-3, max_iter=200)
@@ -276,7 +276,7 @@ class TestNewtonDirection:
         u = project(drop_nyquist(init.values, g))
         r = projected_residual(u, spec, project)
         d = _newton_direction(u, r, spec, project)
-        assert np.max(np.abs(d + project(invert_flat_shifted(r * g.exp2v, g)))) == 0.0
+        assert np.max(np.abs(d + project(fourier_multiply(r * g.exp2v, g.shifted_inverse)))) == 0.0
 
     @given(conn=st.sampled_from(["zero", "exact", "harmonic"]),
            rho=st.floats(-10.0, RHO_CRITICAL, exclude_max=True),

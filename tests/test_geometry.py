@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from bundlemf import (
     laplacian,
     oneform_inner,
 )
+from bundlemf import bundle, geometry
 from bundlemf.geometry import _rfft2, random_band_limited
 
 from conftest import axis, cos_x_field, fresh_python
@@ -269,6 +271,16 @@ def imported_names(tree: ast.Module):
                 yield f"{mod}.{alias.name}", node.lineno
 
 
+def read_names(tree: ast.Module):
+    """Every name tree reads, bare or as an attribute; not the names its
+    imports, defs and assignments bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
 def package_sources():
     return sorted(Path(bundlemf.__file__).parent.glob("*.py"))
 
@@ -338,3 +350,21 @@ class TestLayering:
         assert list(imported_names(ast.parse(src))) == [
             ("scipy", 1), ("scipy.integrate.quad", 2), ("bundlemf.presets", 3),
             ("bundlemf.presets.make_v_field", 5)]
+
+    def test_public_functions_have_a_caller(self):
+        """Every public function of geometry and bundle is read somewhere in
+        the package or exported in bundlemf.__all__: a helper that only tests
+        use lives in the tests."""
+        read = {name for path in package_sources()
+                for name in read_names(ast.parse(path.read_text()))}
+        idle = [f"{module.__name__}.{name}" for module in (geometry, bundle)
+                for name, obj in vars(module).items()
+                if inspect.isfunction(obj) and obj.__module__ == module.__name__
+                and not name.startswith("_")
+                and name not in read and name not in bundlemf.__all__]
+        assert not idle, "no caller in the package: " + ", ".join(idle)
+
+    def test_read_names_finds_each_form(self):
+        src = ("from .geometry import curl\nimport numpy as np\n"
+               "def f(u):\n    y = g(u)\n    return np.fft.rfft2(y)\n")
+        assert set(read_names(ast.parse(src))) == {"g", "u", "y", "np", "fft", "rfft2"}
