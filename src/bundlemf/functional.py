@@ -10,14 +10,18 @@ The L2 gradient is the raw Euler-Lagrange residual
 
 and critical points satisfy r = -lambda1 tau1, so the projected residual and
 the full unprojected optimality defect coincide.
+
+`minimize` works on the Nyquist-free rfft2 coefficients U of u (Nyquist
+modes carry no discrete energy, and J is unbounded below along them).  Its
+line search takes the energy as h^4 <U, k^2 U> + int V u^2 dv_g, <.,.>
+Parseval's, whose gradient is r and whose Hessian the Newton step solves;
+it differs from the covariant int |du + u w|^2 by the aliasing of u w.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
-from functools import partial
-
+from dataclasses import dataclass, replace
 import numpy as np
 
 from .bundle import (
@@ -31,8 +35,6 @@ from .bundle import (
 from .geometry import (
     ScalarField,
     TorusGrid,
-    drop_nyquist,
-    fourier_multiply,
     from_spectral,
     spectral_inner,
     spectral_laplacian_plus,
@@ -90,10 +92,11 @@ class MinimizeResult:
     jvalue: float
     mu: float
     lambda1: float
+    energy: float             # bundle_energy(u), the covariant energy
     residual: float
     iterations: int
     converged: bool
-    guard_hit: bool = field(default=False)
+    guard_hit: bool = False
 
 
 def _guard(u: np.ndarray):
@@ -150,12 +153,16 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
              opts: SolverOptions = SolverOptions()) -> MinimizeResult:
     """Minimize the functional over the kernel complement.
 
-    Truncated Newton-PCG with Armijo backtracking: every step is the
-    direction of `_newton_direction`, whose first PCG iterate is the
-    preconditioned gradient -P (Delta_flat + 1)^{-1} e^{2v} r; a direction
-    that is not a descent one is replaced by -r.  A step is also accepted
-    when it cuts the residual by 10%, since near the minimum the functional
-    is flat to roundoff and Armijo cannot certify progress.
+    Truncated Newton-PCG with Armijo backtracking on the coefficients U:
+    every step is the direction of `_newton_direction`, and one that is not
+    a descent direction is replaced by the preconditioned gradient
+    -P (Delta_flat + 1)^{-1} R, P the deflation of tau1.  A trial costs one
+    FFT pair (`_state`).  A step is also accepted when it cuts the residual
+    by 10%, since near the minimum the functional is flat to roundoff and
+    Armijo cannot certify progress.  The residual is h^2 ||R||, Parseval's
+    norm: the L2(dv_g) norm of the projected residual on the flat torus, of
+    e^v times it on a conformal metric.  The reported J, mu, lambda1 and
+    covariant energy are computed once, on the returned u.
     Guaranteed-convergence regime is rho < 8 pi; larger rho is accepted with
     a warning, where divergence signals non-coercivity rather than failure.
     """
@@ -164,40 +171,22 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         warnings.warn(f"rho = {spec.rho:.6g} >= 8*pi: minimization may not be coercive",
                       RuntimeWarning)
 
-    if init is None:
+    if init is None or spec.rho == 0.0:     # rho = 0: quadratic, minimized by zero
         init = ScalarField(np.zeros((g.n, g.n)))
     _guard(init.values)
 
-    area = g.area_element
-    project = partial(spec.kb.project, weights=area)
+    h4 = g.h**4
+    primal = spec.kb.deflation(g, against_weighted=True)
 
-    # iterates live in the Nyquist-free subspace, where the discrete energy
-    # is definite; see geometry.drop_nyquist
-    u = project(drop_nyquist(init.values, g))
+    def norm(R: np.ndarray) -> float:
+        return float(g.h**2 * np.sqrt(spectral_inner(R, R)))
 
-    if spec.rho == 0.0:
-        # quadratic problem: the minimizer on the kernel complement is zero
-        zero = ScalarField(np.zeros((g.n, g.n)))
-        return MinimizeResult(u=zero, jvalue=evaluate_J(zero, spec),
-                              mu=float(np.exp(log_mass(zero.values, spec)[0])),
-                              lambda1=0.0, residual=0.0, iterations=0, converged=True)
-
-    def j_of(z: np.ndarray) -> float:
-        return evaluate_J(ScalarField(z), spec)
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        r, _ = _raw_residual(z, spec)
-        return project(drop_nyquist(r, g))
-
-    def resid_norm(r: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(r * r * area)))
-
-    r = grad(u)
-    rnorm = resid_norm(r)
+    U = primal(to_spectral(init.values, g))
+    u, J, R = _state(U, spec)
+    rnorm = norm(R)
     tol = opts.tol if opts.tol is not None else 1e-10 * max(1.0, rnorm)
 
-    J = j_of(u)
-    best = (J, u.copy(), rnorm)
+    best = (rnorm, u)
     it = 0
     guard_hit = False
     converged = rnorm <= tol
@@ -205,56 +194,77 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
 
     while not converged and it < opts.max_iter:
         it += 1
-        d = _newton_direction(u, r, spec, project)
-        slope = float(np.sum(r * d * area))
+        D = _newton_direction(u, -R, spec)
+        slope = h4 * spectral_inner(R, D)
         if slope >= 0.0:
-            d = -r
-            slope = -rnorm**2
+            D = -primal(g.shifted_inverse * R)
+            slope = h4 * spectral_inner(R, D)
 
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
+            U_try = U + step * D
             try:
-                u_try = project(u + step * d)
-                J_try = j_of(u_try)
+                u_try, J_try, R_try = _state(U_try, spec)
             except ExponentOverflowError:
                 guard_hit = True
                 step *= BACKTRACK
                 continue
-            r_try = grad(u_try)
-            if J_try <= J + ARMIJO * step * slope or resid_norm(r_try) <= 0.9 * rnorm:
+            rnorm_try = norm(R_try)
+            if J_try <= J + ARMIJO * step * slope or rnorm_try <= 0.9 * rnorm:
                 break
             step *= BACKTRACK
         else:
             break  # stalled line search: no admissible decrease left
 
-        u, J, r = u_try, J_try, r_try
-        rnorm = resid_norm(r)
-        if rnorm < best[2] * (1.0 - 1e-3):
+        U, u, J, R, rnorm = U_try, u_try, J_try, R_try, rnorm_try
+        if rnorm < best[0] * (1.0 - 1e-3):
             stall = 0
         else:
             stall += 1
-        if rnorm < best[2]:
-            best = (J, u.copy(), rnorm)
+        if rnorm < best[0]:
+            best = (rnorm, u)
         converged = rnorm <= tol
         if stall >= 100:
             break  # residual no longer improving at this precision
 
-    if not converged and best[2] < rnorm:
-        J, u, rnorm = best[0], best[1], best[2]
-
+    if not converged and best[0] < rnorm:
+        rnorm, u = best
     uf = ScalarField(u)
+    energy = bundle_energy(uf, spec.conn, g)
     _, lam1 = el_residual(uf, spec)
-    log_mu, _, _ = log_mass(u, spec)
-    return MinimizeResult(u=uf, jvalue=J, mu=float(np.exp(log_mu)), lambda1=lam1,
-                          residual=rnorm, iterations=it, converged=converged,
-                          guard_hit=guard_hit)
+    return MinimizeResult(u=uf, jvalue=evaluate_J(uf, spec, energy),
+                          mu=float(np.exp(log_mass(u, spec)[0])), lambda1=lam1,
+                          energy=energy, residual=rnorm, iterations=it,
+                          converged=converged, guard_hit=guard_hit)
 
 
-def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
-                      project) -> np.ndarray:
-    """Truncated Newton step (Steihaug, SIAM J. Numer. Anal. 20, 1983): PCG
-    on the projected Hessian to relative residual 1e-3, in Fourier space
-    like the bundle Poisson solve.
+def _state(U: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndarray]:
+    """The field u with coefficients U, the line search's J at u and R, the
+    masked transform of e^{2v} r deflated along e^{2v} tau1: 2 FFTs.  J's
+    slope along D is h^4 <R, D>; raises ExponentOverflowError past the guard."""
+    g, rho = spec.grid, spec.rho
+    u = from_spectral(U, g)
+    _guard(u)
+    log_mu, shift, q = log_mass(u, spec)
+    ua = u * g.area_element
+    Vu = spec.conn.potential.values * u
+    KU = g.k2 * U
+    J = (0.5 * (g.h**4 * spectral_inner(U, KU) + float(np.vdot(Vu, ua)))
+         + rho / g.total_area * float(np.sum(ua)) - rho * log_mu)
+    q *= -rho * np.exp(shift - log_mu)          # -rho h e^u / mu
+    q += rho / g.total_area
+    q += Vu
+    q *= g.area_element
+    q *= g.n**2                  # e^{2v} = area_element / h^2, exactly
+    R = to_spectral(q, g)
+    R += KU
+    return u, J, spec.kb.deflation(g, along_weighted=True)(R)
+
+
+def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Truncated Newton step (Steihaug, SIAM J. Numer. Anal. 20, 1983) from
+    u: PCG on the projected Hessian to relative residual 1e-3, in Fourier
+    space like the bundle Poisson solve; returns the step's coefficients.
 
     The Hessian H phi = (Delta_g + V) phi - rho (W phi - W <W, phi>), with
     W = h e^u / mu and <.,.> the L2(dv_g) product, is self-adjoint in
@@ -265,19 +275,16 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
 
     with W^ = to_spectral(e^{2v} W) formed once and <.,.> Parseval's
     (geometry.spectral_inner), the diagonal preconditioner
-    grid.shifted_inverse and the right-hand side to_spectral(-e^{2v} r).  In
-    exact arithmetic this is the L2(dv_g) PCG preconditioned with
-    (Delta_flat + 1)^{-1} e^{2v}; its stop test is on the Parseval norm of
-    e^{2v} times the residual, which is the L2(dv_g) norm up to a constant
-    when v = 0.  tau1 is deflated by KernelBasis.deflation over its cached
-    transforms: the iterate and the preconditioned residuals are
+    grid.shifted_inverse and the right-hand side B, minus the R of
+    `_state` (pcg overwrites it).  In exact arithmetic this is the L2(dv_g)
+    PCG preconditioned with (Delta_flat + 1)^{-1} e^{2v}; it stops on the
+    Parseval norm, as `minimize` does.  tau1 is deflated by
+    KernelBasis.deflation: the iterate and the preconditioned residuals are
     kept L2(dv_g)-orthogonal to tau1 (Euclidean-orthogonal to e^{2v} tau1),
     the residuals and H^ P Euclidean-orthogonal to tau1.  A direction of m
-    steps costs 2m + 3 FFTs.
-
-    On negative curvature at the first step it returns the preconditioned
-    gradient -project((Delta_flat + 1)^{-1} e^{2v} r); on negative curvature
-    later, or at the 200-step cap, the iterate reached so far."""
+    steps costs 2m + 1 FFTs: W^ and the m operator applies.  It is zero on
+    negative curvature at the first step; on negative curvature later, or
+    at the 200-step cap, it is the iterate reached so far."""
     g = spec.grid
     primal = spec.kb.deflation(g, against_weighted=True)   # in place, on pcg's
     dual = spec.kb.deflation(g, along_weighted=True)       # temporaries only
@@ -292,10 +299,6 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
     W *= g.n**2
     What = to_spectral(W, g)
     del W
-    b = r * g.area_element
-    b *= -g.n**2                 # -e^{2v} r
-    B = dual(to_spectral(b, g))
-    del b
     rank_one = spec.rho * g.h**4
 
     def hess(P: np.ndarray) -> np.ndarray:
@@ -303,9 +306,6 @@ def _newton_direction(u: np.ndarray, r: np.ndarray, spec: ProblemSpec,
         HP += (rank_one * spectral_inner(What, P)) * What
         return dual(HP)
 
-    X, info = pcg(hess, B,
-                  precond=lambda R: primal(g.shifted_inverse * R),
-                  inner=spectral_inner, tol=1e-3, max_iter=200)
-    if info.reason == "negative_curvature" and info.iterations == 0:
-        return -project(fourier_multiply(r * g.exp2v, g.shifted_inverse))
-    return from_spectral(X, g)
+    X, _ = pcg(hess, B, precond=lambda R: primal(g.shifted_inverse * R),
+               inner=spectral_inner, tol=1e-3, max_iter=200)
+    return X

@@ -14,7 +14,11 @@ import numpy as np
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
+    """a itself when it owns C-contiguous float64 data, else a float copy;
+    marked read-only either way, so a wrapped array is not held twice and a
+    later write through the caller's reference raises."""
+    if not (a.dtype == np.float64 and a.flags.owndata and a.flags.c_contiguous):
+        a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
 
@@ -239,8 +243,8 @@ def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 
 def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """The coefficients of drop_nyquist(Delta_flat p + e^{2v} V p), p the
-    real array with Nyquist-free rfft2 coefficients P: the flat-self-adjoint
+    """The Nyquist-free rfft2 coefficients of Delta_flat p + e^{2v} V p, p
+    the real array with Nyquist-free coefficients P: the flat-self-adjoint
     form e^{2v} (Delta_g + V) of the bundle Laplacian, one FFT pair, with the
     Nyquist mask folded into the symbol.  e^{2v} h^2 V (grid.area_element
     and V) multiplies in place and 1/h^2 = n^2, a power of two and so exact,
@@ -274,19 +278,6 @@ def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     the real arrays with Nyquist-free coefficients a and b (weight 1 on
     column 0, 2 on the inner columns)."""
     return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
-
-
-def drop_nyquist(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Remove the Nyquist row/column modes of a real array (2 FFTs).
-
-    The derivative wavenumbers are zeroed at Nyquist, so those modes carry no
-    discrete Dirichlet energy; any optimization over fields must stay in this
-    filtered subspace or the functional is unbounded below along them.
-    `minimize` filters its iterates and residuals with it; the Krylov solves
-    never populate those modes, since their vectors are the Nyquist-free
-    coefficients of to_spectral.
-    """
-    return fourier_multiply(u, grid.mask)
 
 
 def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:

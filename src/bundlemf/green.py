@@ -68,10 +68,15 @@ _STEP2 = _STEP.deriv(2)
 
 
 def cutoff(r: np.ndarray) -> np.ndarray:
-    """Radial ramp: 1 for r <= r0 = CUTOFF_RADIUS, 0 for r >= 2 r0, C^8 in between."""
+    """Radial ramp: 1 for r <= r0 = CUTOFF_RADIUS, 0 for r >= 2 r0, C^8 in
+    between, where alone the ramp polynomial is evaluated (as in
+    _cutoff_derivs); _STEP(0) = 0 and _STEP(1) = 1 hold exactly."""
     r0 = CUTOFF_RADIUS
-    t = np.clip((np.asarray(r, dtype=float) - r0) / r0, 0.0, 1.0)
-    return 1.0 - _STEP(t)
+    t = (np.asarray(r, dtype=float) - r0) / r0
+    chi = (t <= 0.0).astype(float)
+    inside = (t > 0.0) & (t < 1.0)
+    chi[inside] = 1.0 - _STEP(t[inside])
+    return chi
 
 
 def _cutoff_derivs(r: np.ndarray):

@@ -58,15 +58,15 @@ def peak(u: ScalarField, rho: float, spec: ProblemSpec,
 def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
                       res: MinimizeResult | None = None) -> SweepRecord:
     """The sweep record of u at rho.  Given the solve `res` that returned u,
-    its lambda1, mu and J are taken as they are: `minimize` computed them on
-    the same u and rho by the same code."""
-    energy = bundle_energy(u, spec.conn, spec.grid)
+    its lambda1, mu, J and energy are taken as they are: `minimize` computed
+    them on the same u and rho by the same code."""
     if res is None:
         spec_rho = spec.with_rho(rho)
+        energy = bundle_energy(u, spec.conn, spec.grid)
         _, lam1 = el_residual(u, spec_rho)
         jvalue, mu, solve = evaluate_J(u, spec_rho, energy), None, {}
     else:
-        lam1, jvalue, mu = res.lambda1, res.jvalue, res.mu
+        lam1, jvalue, mu, energy = res.lambda1, res.jvalue, res.mu, res.energy
         solve = {"converged": res.converged, "guard_hit": res.guard_hit,
                  "iterations": res.iterations}
     x, c, mu, r_scale = peak(u, rho, spec, mu)

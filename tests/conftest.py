@@ -60,6 +60,12 @@ FFT_NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
              "fftn", "ifftn", "rfftn", "irfftn")
 
 
+def drop_nyquist(u, grid):
+    """u without its Nyquist row and column modes (2 FFTs): the subspace the
+    solvers work in, where the discrete energy is definite."""
+    return bundlemf.geometry.fourier_multiply(u, grid.mask)
+
+
 def count_fft_calls(monkeypatch) -> list:
     """A list that records every numpy.fft call made from here on."""
     calls = []

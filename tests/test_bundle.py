@@ -29,7 +29,6 @@ from bundlemf.bundle import (
     solve_symmetrized,
 )
 from bundlemf.geometry import (
-    drop_nyquist,
     flat_laplacian_raw,
     from_spectral,
     primitive,
@@ -45,6 +44,7 @@ from conftest import (
     cos_x_field,
     count_fft_calls,
     df_connection,
+    drop_nyquist,
     harmonic_connection,
     spy_pcg,
     traced_peak,

@@ -7,6 +7,7 @@ from bundlemf import (
     ExponentOverflowError,
     ScalarField,
     SolverOptions,
+    bundle_energy,
     bundle_laplacian,
     el_residual,
     evaluate_J,
@@ -21,12 +22,20 @@ from bundlemf import functional
 from bundlemf.bundle import bundle_laplacian_raw, pcg
 from bundlemf.cli import RunConfig, build_problem
 from bundlemf.functional import RHO_CRITICAL, _newton_direction, _raw_residual, log_mass
-from bundlemf.geometry import build_grid, drop_nyquist, fourier_multiply, random_band_limited
+from bundlemf.geometry import (
+    build_grid,
+    fourier_multiply,
+    from_spectral,
+    random_band_limited,
+    spectral_inner,
+    to_spectral,
+)
 
 from conftest import (
     cos_x_field,
     count_fft_calls,
     df_connection,
+    drop_nyquist,
     harmonic_connection,
     ones_field,
     spy_pcg,
@@ -234,6 +243,21 @@ def projected_residual(u, spec, project):
     return project(drop_nyquist(_raw_residual(u, spec)[0], spec.grid))
 
 
+def newton_step(u, r, spec):
+    """`_newton_direction` from u as a real array, given the projected
+    Nyquist-free residual r: its right-hand side is minus the deflated
+    transform of e^{2v} r, the R of functional._state."""
+    g = spec.grid
+    B = spec.kb.deflation(g, along_weighted=True)(to_spectral(-r * g.exp2v, g))
+    return from_spectral(_newton_direction(u, B, spec), g)
+
+
+def start_coefficients(init, spec):
+    """The coefficients minimize starts from: Nyquist-free, off tau1."""
+    g = spec.grid
+    return spec.kb.deflation(g, against_weighted=True)(to_spectral(init.values, g))
+
+
 def physical_newton_direction(u, r, spec, project):
     """Oracle: the truncated Newton PCG in physical space, with the L2(dv_g)
     inner product and the preconditioner (Delta_flat + 1)^{-1} e^{2v}."""
@@ -267,16 +291,27 @@ class TestNewtonDirection:
         assert res.iterations <= 6
         assert abs(res.jvalue - (-0.99347800438375)) <= 1e-12
 
-    def test_first_step_negative_curvature_is_preconditioned_gradient(self):
+    def test_first_step_negative_curvature_is_preconditioned_gradient(self, monkeypatch):
+        """Negative curvature at the PCG's first step gives a zero direction,
+        and minimize's first trial is then U - P (Delta_flat + 1)^{-1} R."""
         spec = build_problem(RunConfig(n=32, rho=200.0, connection="exact:cos-x:0.3",
                                        h_preset="exp-cos:0.5"))
         g = spec.grid
-        project = tau1_projection(spec)
         init = random_band_limited(g, np.random.default_rng(0), amplitude=0.1)
-        u = project(drop_nyquist(init.values, g))
-        r = projected_residual(u, spec, project)
-        d = _newton_direction(u, r, spec, project)
-        assert np.max(np.abs(d + project(fourier_multiply(r * g.exp2v, g.shifted_inverse)))) == 0.0
+        U = start_coefficients(init, spec)
+        u, _, R = functional._state(U, spec)
+        infos = spy_pcg(monkeypatch, functional)
+        assert not _newton_direction(u, -R, spec).any()
+        assert infos[0].reason == "negative_curvature" and infos[0].iterations == 0
+
+        trials, state = [], functional._state
+        monkeypatch.setattr(functional, "_state",
+                            lambda Z, spec: trials.append(Z.copy()) or state(Z, spec))
+        with pytest.warns(RuntimeWarning):
+            minimize(spec, init, SolverOptions(max_iter=1))
+        D = -spec.kb.deflation(g, against_weighted=True)(g.shifted_inverse * R)
+        assert np.array_equal(trials[0], U)
+        assert np.array_equal(trials[1], U + 1.0 * D)
 
     @given(conn=st.sampled_from(["zero", "exact", "harmonic"]),
            rho=st.floats(-10.0, RHO_CRITICAL, exclude_max=True),
@@ -296,7 +331,7 @@ class TestNewtonDirection:
         u = project(random_band_limited(g, np.random.default_rng(seed), kmax=kmax,
                                         amplitude=amplitude).values)
         r = projected_residual(u, spec, project)
-        d = _newton_direction(u, r, spec, project)
+        d = newton_step(u, r, spec)
         dnorm = l2_norm(d, g)
         assert np.sum(r * d * g.area_element) < 0.0
         if spec.kb.dim == 1:
@@ -324,35 +359,76 @@ class TestNewtonDirection:
             for _ in range(3):
                 u = project(random_band_limited(grid32, rng, kmax=6, amplitude=1.0).values)
                 r = projected_residual(u, spec, project)
-                d = _newton_direction(u, r, spec, project)
+                d = newton_step(u, r, spec)
                 ref, info = physical_newton_direction(u, r, spec, project)
                 assert info.iterations > 1
                 assert np.max(np.abs(d - ref)) <= rel * np.max(np.abs(ref))
 
     def test_fft_calls_per_direction(self, monkeypatch):
-        """One direction of m PCG steps costs 2m + 3 FFTs once the kernel
-        transforms are cached: the right-hand side, W^, m operator applies
-        and the transform back."""
+        """One direction of m PCG steps costs 2m + 1 FFTs once the kernel
+        transforms are cached: W^ and m operator applies; the right-hand
+        side comes in, and the step goes out, as coefficients."""
+        spec = build_problem(RunConfig(n=32, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5", v_preset="cos-x:0.3"))
+        init = random_band_limited(spec.grid, np.random.default_rng(3), amplitude=1.0)
+        u, _, R = functional._state(start_coefficients(init, spec), spec)
+        _newton_direction(u, -R, spec)      # fills the kernel transforms
+        calls = count_fft_calls(monkeypatch)
+        infos = spy_pcg(monkeypatch, functional)
+        _newton_direction(u, -R, spec)
+        assert len(infos) == 1 and infos[0].reason == "converged"
+        assert infos[0].iterations > 1
+        assert len(calls) == 2 * infos[0].iterations + 1
+
+    def test_fft_calls_per_trial(self, monkeypatch):
+        """A line-search trial is one FFT pair: u from U, and R."""
+        spec = build_problem(RunConfig(n=32, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5", v_preset="cos-x:0.3"))
+        init = random_band_limited(spec.grid, np.random.default_rng(3), amplitude=1.0)
+        U = start_coefficients(init, spec)
+        functional._state(U, spec)          # fills the kernel transforms
+        calls = count_fft_calls(monkeypatch)
+        functional._state(U, spec)
+        assert len(calls) == 2
+
+
+class TestLineSearchFunctional:
+    def test_gradient_is_consistent(self):
+        """Central differences of the line search's J along a random
+        Nyquist-free H1 direction D match its slope h^4 <R, D> to O(eps^2):
+        J and R belong to one function."""
         spec = build_problem(RunConfig(n=32, rho=12.0, connection="exact:cos-x:0.3",
                                        h_preset="exp-cos:0.5", v_preset="cos-x:0.3"))
         g = spec.grid
-        project = tau1_projection(spec)
-        u = project(random_band_limited(g, np.random.default_rng(3), amplitude=1.0).values)
-        r = projected_residual(u, spec, project)
-        _newton_direction(u, r, spec, project)      # fills the kernel transforms
-        calls = count_fft_calls(monkeypatch)
-        infos = spy_pcg(monkeypatch, functional)
-        _newton_direction(u, r, spec, project)
-        assert len(infos) == 1 and infos[0].reason == "converged"
-        assert infos[0].iterations > 1
-        assert len(calls) == 2 * infos[0].iterations + 3
+        rng = np.random.default_rng(11)
+        U = start_coefficients(random_band_limited(g, rng, amplitude=0.5), spec)
+        D = start_coefficients(random_band_limited(g, rng), spec)
+        _, _, R = functional._state(U, spec)
+        slope = g.h**4 * spectral_inner(R, D)
+        errors = []
+        for eps in (1e-2, 5e-3):
+            jp = functional._state(U + eps * D, spec)[1]
+            jm = functional._state(U - eps * D, spec)[1]
+            errors.append(abs((jp - jm) / (2 * eps) - slope))
+        assert 3.5 <= errors[0] / errors[1] <= 4.5
+        assert errors[0] <= 1e-3 * abs(slope)
+
+    def test_energy_is_the_quadratic_form(self):
+        """At rho = 0 the line search's J is half the energy
+        int u (Delta_g + V) u dv_g, which on a band-limited u equals the
+        covariant int |du + u w|^2 up to the aliasing of u w: none here,
+        where u w and u^2 are resolved by the grid."""
+        spec = build_problem(RunConfig(n=32, rho=0.0, connection="exact:cos-x:0.3",
+                                       v_preset="cos-x:0.3"))
+        u = random_band_limited(spec.grid, np.random.default_rng(13), kmax=4)
+        J = functional._state(to_spectral(u.values, spec.grid), spec)[1]
+        energy = bundle_energy(u, spec.conn, spec.grid)
+        assert abs(2.0 * J - energy) <= 1e-13 * energy
 
 
 class TestCoercivityProbe:
     @pytest.mark.parametrize("rho_over_pi", [2.0, 4.0, 6.0])
     def test_bounded_below_on_unit_energy_ball(self, flat_problem64, rho_over_pi):
-        from bundlemf import bundle_energy
-
         spec = flat_problem64.with_rho(rho_over_pi * np.pi)
         g = spec.grid
         rng = np.random.default_rng(61)

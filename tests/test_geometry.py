@@ -83,6 +83,27 @@ class TestFieldTypes:
         with pytest.raises(ValueError):
             u.values[0, 0] = 1.0
 
+    def test_fresh_array_is_wrapped_without_copy(self):
+        a = np.zeros((32, 32))
+        u = ScalarField(a)
+        assert np.shares_memory(a, u.values)
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+        c1, c2 = np.zeros((32, 32)), np.ones((32, 32))
+        w = OneForm(c1, c2)
+        assert np.shares_memory(c1, w.c1) and np.shares_memory(c2, w.c2)
+        with pytest.raises(ValueError):
+            c2[0, 0] = 0.0
+
+    def test_views_and_other_dtypes_are_copied(self):
+        base = np.zeros((32, 64))
+        view = base[:, :32]
+        ints = np.zeros((32, 32), dtype=int)
+        for a in (view, ints, np.asfortranarray(np.zeros((32, 32)))):
+            u = ScalarField(a)
+            assert not np.shares_memory(a, u.values) and u.values.dtype == np.float64
+            assert a.flags.writeable and not u.values.flags.writeable
+
 
 class TestIntegrate:
     def test_constant(self, grid64):

@@ -16,6 +16,7 @@ from bundlemf import (
 )
 from bundlemf.geometry import build_grid, random_band_limited, torus_distance
 from bundlemf.green import (
+    _STEP,
     CUTOFF_ORDER,
     CUTOFF_RADIUS,
     SolvabilityError,
@@ -43,6 +44,19 @@ def spec128():
 @pytest.fixture(scope="module")
 def gd128(spec128):
     return solve_green((0, 0), spec128)
+
+
+class TestCutoff:
+    def test_annulus_evaluation_matches_full_grid(self):
+        """Evaluating the ramp on the annulus alone gives the full-grid
+        1 - _STEP(clip(t, 0, 1)) bit for bit: _STEP is exactly 0 at t = 0 and
+        1 at t = 1."""
+        assert _STEP(0.0) == 0.0 and _STEP(1.0) == 1.0
+        g = build_grid(256)
+        for p in ((0, 0), (3, 5), (128, 77)):
+            r = torus_distance(g, p)
+            full = 1.0 - _STEP(np.clip((r - CUTOFF_RADIUS) / CUTOFF_RADIUS, 0.0, 1.0))
+            assert np.array_equal(cutoff(r), full)
 
 
 class TestFlatCase:

@@ -15,7 +15,7 @@ from bundlemf.sweep import (
     subcritical_sweep,
     window_profile,
 )
-from conftest import ones_field, zero_connection
+from conftest import count_fft_calls, ones_field, zero_connection
 
 
 @pytest.fixture(scope="module")
@@ -166,13 +166,16 @@ class TestPredictor:
                               (7, "previous"), (8, "predicted"), (8, "previous")]
         assert all(rec.converged for k, rec in enumerate(records, 1) if k != 5)
 
-    def test_sweep_warm_outer_steps(self):
+    def test_sweep_warm_outer_steps(self, monkeypatch):
         """The benchmark's sweep-warm problem: 93 outer Newton steps from
-        the previous minimizer alone, 35 with the predictor."""
+        the previous minimizer alone, 35 with the predictor, in at most 600
+        FFT calls (568; 1005 when a line-search trial cost 7 FFTs, not 2)."""
         spec = build_problem(RunConfig(n=128, h_preset="exp-cos:1.0"))
+        calls = count_fft_calls(monkeypatch)
         records = subcritical_sweep(spec, 32)
         assert all(rec.converged for rec in records)
         assert sum(rec.iterations for rec in records) <= 40
+        assert len(calls) <= 600
 
 
 class TestDiagnosticsTrivial:
