@@ -267,12 +267,14 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15); raises
     ConvergenceError short of tol.
 
-    The Krylov vectors are Nyquist-free rfft2 coefficients: b is transformed
-    once, each step applies geometry.spectral_laplacian_plus (one FFT pair)
-    and the diagonal preconditioner grid.shifted_inverse, inner products are
-    Parseval's, tau1 is deflated by KernelBasis.deflation (in the
-    right-hand side, the operator and the preconditioner), and x is
-    transformed back once.  b is not kept once transformed.
+    The Krylov vectors are rfft2 coefficients masked by grid.mask (all ones
+    on the 5-point twin grid.five_point, whose symbol grid.k2 is positive on
+    the Nyquist modes): b is transformed once, each step applies
+    geometry.spectral_laplacian_plus (one FFT pair) and the diagonal
+    preconditioner grid.shifted_inverse, inner products are Parseval's,
+    tau1 is deflated by KernelBasis.deflation (in the right-hand side, the
+    operator and the preconditioner), and x is transformed back once.  b is
+    not kept once transformed.
     """
     V = conn.potential.values
     if not V.any():

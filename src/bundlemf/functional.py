@@ -149,6 +149,15 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     return ScalarField(spec.kb.project(r, area)), 0.0 - coef   # never -0.0
 
 
+def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
+    """lambda1 of el_residual from the same raw residual, with no projected
+    residual built; 0.0 at once when the kernel is trivial."""
+    if spec.kb.dim == 0:
+        return 0.0
+    r, _ = _raw_residual(u, spec)
+    return 0.0 - spec.kb.component(r, spec.grid.area_element)
+
+
 def minimize(spec: ProblemSpec, init: ScalarField | None = None,
              opts: SolverOptions = SolverOptions()) -> MinimizeResult:
     """Minimize the functional over the kernel complement.
@@ -231,9 +240,9 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         rnorm, u = best
     uf = ScalarField(u)
     energy = bundle_energy(uf, spec.conn, g)
-    _, lam1 = el_residual(uf, spec)
     return MinimizeResult(u=uf, jvalue=evaluate_J(uf, spec, energy),
-                          mu=float(np.exp(log_mass(u, spec)[0])), lambda1=lam1,
+                          mu=float(np.exp(log_mass(u, spec)[0])),
+                          lambda1=kernel_multiplier(u, spec),
                           energy=energy, residual=rnorm, iterations=it,
                           converged=converged, guard_hit=guard_hit)
 

@@ -8,7 +8,8 @@ geometer's positive semi-definite one, Delta_g u = d* du = -e^{-2v} (u_xx + u_yy
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,19 @@ class TorusGrid:
     def node_coords(self, p) -> tuple[float, float]:
         i, j = p
         return self.x[i % self.n], self.x[j % self.n]
+
+    @cached_property
+    def five_point(self) -> TorusGrid:
+        """The 5-point twin, built once per grid: the same nodes and metric,
+        with k2 the symbol of the positive 5-point Laplacian
+        (4 u - neighbours) / h^2, no mask (that symbol is positive on the
+        Nyquist modes) and shifted_inverse = 1 / (k2 + 1); kx and ky stay
+        the spectral ones."""
+        j = np.fft.fftfreq(self.n) * self.n
+        lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / self.n)) / self.h**2
+        k2 = lam[:, None] + lam[None, : self.n // 2 + 1]
+        return replace(self, k2=_readonly(k2), mask=_readonly(np.ones_like(k2)),
+                       shifted_inverse=_readonly(1.0 / (k2 + 1.0)))
 
 
 def build_grid(n: int, v=None) -> TorusGrid:
@@ -275,9 +289,10 @@ def from_spectral(uh: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Parseval on the rfft2 layout: n^2 times the Euclidean inner product of
-    the real arrays with Nyquist-free coefficients a and b (weight 1 on
-    column 0, 2 on the inner columns)."""
-    return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
+    the real arrays with rfft2 coefficients a and b (weight 1 on column 0
+    and on the last, Nyquist, column, 2 on the inner columns)."""
+    return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real
+                 - np.vdot(a[:, -1], b[:, -1]).real)
 
 
 def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -287,14 +302,6 @@ def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:
     which the callers guarantee by projection.
     """
     return fourier_multiply(f, pseudo_inverse(grid.k2))
-
-
-def five_point_symbol(grid: TorusGrid) -> np.ndarray:
-    """Symbol of the positive 5-point Laplacian (4 u - neighbours) / h^2;
-    unlike grid.k2 it is positive on the Nyquist modes."""
-    j = np.fft.fftfreq(grid.n) * grid.n
-    lam = (2.0 - 2.0 * np.cos(2.0 * np.pi * j / grid.n)) / grid.h**2
-    return lam[:, None] + lam[None, : grid.n // 2 + 1]
 
 
 # ---------------------------------------------------------------------------

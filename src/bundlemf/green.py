@@ -11,8 +11,11 @@ C^8 cutoff chi, so that only the smooth remainder w is solved for and the
 regular part is read off as A_p = w(p) (+ 4 v(p) with a conformal factor,
 since d_g ~ e^{v(p)} r near p).
 
-Two discretizations back the smooth solve: the spectral one and a 5-point
-finite-difference one, used to cross-validate A_p.
+Two discretizations back the smooth solve, used to cross-validate A_p: the
+spectral one and a 5-point finite-difference one.  Both are the one Fourier
+space solve bundle.solve_symmetrized, on the grid or on its 5-point twin
+(geometry.TorusGrid.five_point), the symbol and its mask being the only
+difference.
 """
 
 from __future__ import annotations
@@ -22,15 +25,9 @@ from math import comb
 
 import numpy as np
 
-from .bundle import pcg, require_converged, solve_symmetrized
+from .bundle import solve_symmetrized
 from .functional import ProblemSpec
-from .geometry import (
-    ScalarField,
-    five_point_symbol,
-    fourier_multiply,
-    pseudo_inverse,
-    torus_distance,
-)
+from .geometry import ScalarField, torus_distance
 
 CUTOFF_RADIUS = 0.125
 CUTOFF_ORDER = 8  # smoothness class of the radial ramp
@@ -124,34 +121,16 @@ def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
     """Solve (Delta_g + V) w = rhs[0] for w orthogonal to the kernel.
 
     rhs holds the projected right-hand side, scaled in place to e^{2v} rhs
-    and taken out of the list, so no frame keeps it once transformed.  The
-    spectral backend is the bundle Poisson solve; the fd backend inverts the
-    5-point symbol directly when V vanishes and runs deflated PCG otherwise,
-    with no Nyquist filter since the 5-point symbol is positive there.
+    and taken out of the list, so no frame keeps it once transformed.  Both
+    backends are the bundle Poisson solve, the fd one on the grid's 5-point
+    twin: the 5-point symbol with no Nyquist mask, since it is positive
+    there, and tau1 deflated unmasked.
     """
     g = spec.grid
     rhs[0] *= g.area_element
     rhs[0] *= g.n**2              # e^{2v} = area_element / h^2, exactly
-    if backend == "spectral":
-        return solve_symmetrized(rhs.pop(), spec.conn, g, spec.kb)
-    b = rhs.pop()
-    sym = five_point_symbol(g)
-    V = spec.conn.potential.values
-    if not V.any():
-        return fourier_multiply(b - b.mean(), pseudo_inverse(sym))
-
-    kb = spec.kb
-
-    def apply(z):
-        return kb.project((4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
-                           - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / g.h**2
-                          + g.exp2v * V * z)
-
-    shifted = 1.0 / (sym + 1.0)
-    x, info = pcg(apply, kb.project(b),
-                  precond=lambda z: kb.project(fourier_multiply(z, shifted)))
-    require_converged(info, "finite-difference Green PCG")
-    return x
+    grid = g if backend == "spectral" else g.five_point
+    return solve_symmetrized(rhs.pop(), spec.conn, grid, spec.kb)
 
 
 # ---------------------------------------------------------------------------

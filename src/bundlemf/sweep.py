@@ -13,8 +13,8 @@ from .functional import (
     MinimizeResult,
     ProblemSpec,
     SolverOptions,
-    el_residual,
     evaluate_J,
+    kernel_multiplier,
     log_mass,
     minimize,
 )
@@ -63,7 +63,7 @@ def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
     if res is None:
         spec_rho = spec.with_rho(rho)
         energy = bundle_energy(u, spec.conn, spec.grid)
-        _, lam1 = el_residual(u, spec_rho)
+        lam1 = kernel_multiplier(u.values, spec_rho)
         jvalue, mu, solve = evaluate_J(u, spec_rho, energy), None, {}
     else:
         lam1, jvalue, mu, energy = res.lambda1, res.jvalue, res.mu, res.energy

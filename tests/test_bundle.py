@@ -60,6 +60,16 @@ def folded_apply(conn, grid):
     return lambda p: from_spectral(spectral_laplacian_plus(to_spectral(p, grid), V, grid), grid)
 
 
+def five_point_apply(conn, grid):
+    """z -> (4 z - neighbours) / h^2 + e^{2v} V z by np.roll on real arrays:
+    the physical-space 5-point operator, kept as the reference for the
+    solve on the grid's 5-point twin."""
+    V = conn.potential.values
+    return lambda z: ((4.0 * z - np.roll(z, 1, 0) - np.roll(z, -1, 0)
+                       - np.roll(z, 1, 1) - np.roll(z, -1, 1)) / grid.h**2
+                      + grid.exp2v * V * z)
+
+
 def dense_bundle_matrix(conn, grid) -> np.ndarray:
     """Dense matrix of the bundle Laplacian in the L2(dv_g) inner product.
 
@@ -331,46 +341,57 @@ class TestSpectralPCG:
 
     @given(n=st.sampled_from([16, 32]), seed=st.integers(0, 2**32 - 1))
     def test_parseval(self, n, seed):
+        """Exact on Nyquist-free coefficients and on the full rfft2 layout,
+        whose last (Nyquist) column the 5-point twin's Krylov vectors fill."""
         grid = build_grid(n)
         rng = np.random.default_rng(seed)
-        a, b = (drop_nyquist(rng.standard_normal((n, n)), grid) for _ in range(2))
-        A, B = to_spectral(a, grid), to_spectral(b, grid)
-        scale = n**2 * np.linalg.norm(a) * np.linalg.norm(b)
-        assert abs(spectral_inner(A, B) - n**2 * np.sum(a * b)) <= 1e-12 * scale
-        assert abs(spectral_inner(A, A) - n**2 * np.sum(a * a)) <= 1e-12 * n**2 * np.sum(a * a)
+        raw = [rng.standard_normal((n, n)) for _ in range(2)]
+        masked = [drop_nyquist(a, grid) for a in raw]
+        for (a, b), transform in ((masked, lambda u: to_spectral(u, grid)),
+                                  (raw, np.fft.rfft2)):
+            A, B = transform(a), transform(b)
+            scale = n**2 * np.linalg.norm(a) * np.linalg.norm(b)
+            assert abs(spectral_inner(A, B) - n**2 * np.sum(a * b)) <= 1e-12 * scale
+            assert abs(spectral_inner(A, A) - n**2 * np.sum(a * a)) <= 1e-12 * n**2 * np.sum(a * a)
 
     @pytest.mark.parametrize("conformal", [False, True], ids=["flat", "cos-x"])
     @pytest.mark.parametrize("kind", ["exact", "harmonic"])
     def test_agrees_with_dense_solve(self, kind, conformal):
-        """The dense solve of K x = b on an orthonormal basis of the
-        Nyquist-free fields Euclidean-orthogonal to the Nyquist-free tau1,
-        K the matrix of folded_apply."""
+        """The dense solve of K x = b on an orthonormal basis of the fields
+        Euclidean-orthogonal to tau1.  On the grid, K is the matrix of
+        folded_apply and the fields and tau1 are Nyquist-free; on its 5-point
+        twin, K is the matrix of five_point_apply and nothing is filtered."""
         n = 16
         grid = build_grid(n, cos_x_field(n, 0.3) if conformal else None)
         conn = df_connection(grid) if kind == "exact" else harmonic_connection(grid, 1.0, 2.0)
         kb = kernel_basis(conn, grid)
         assert kb.dim == (kind == "exact")
         b = random_band_limited(grid, np.random.default_rng(5)).values
-        x = solve_symmetrized(b, conn, grid, kb)
-        K = np.column_stack([folded_apply(conn, grid)(e.reshape(n, n)).ravel()
-                             for e in np.eye(n * n)])
         evals, B = np.linalg.eigh(_nyquist_projector(grid))
-        Q = B[:, evals > 0.5]
-        if kb.dim == 1:
-            Q = Q @ null_space((Q.T @ kb.tau1.values.ravel())[None, :])
-        ref = (Q @ np.linalg.solve(Q.T @ K @ Q, Q.T @ b.ravel())).reshape(n, n)
-        assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+        for solve_grid, apply, Q in ((grid, folded_apply(conn, grid), B[:, evals > 0.5]),
+                                     (grid.five_point, five_point_apply(conn, grid),
+                                      np.eye(n * n))):
+            x = solve_symmetrized(b, conn, solve_grid, kb)
+            K = np.column_stack([apply(e.reshape(n, n)).ravel() for e in np.eye(n * n)])
+            if kb.dim == 1:
+                Q = Q @ null_space((Q.T @ kb.tau1.values.ravel())[None, :])
+            ref = (Q @ np.linalg.solve(Q.T @ K @ Q, Q.T @ b.ravel())).reshape(n, n)
+            assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_one_fft_pair_per_step(self, monkeypatch):
+        """On the grid and on its 5-point twin."""
         grid = build_grid(32, cos_x_field(32, 0.3))
         conn = df_connection(grid)
         kb = kernel_basis(conn, grid)
         b = random_band_limited(grid, np.random.default_rng(6)).values
         calls = count_fft_calls(monkeypatch)
         infos = spy_pcg(monkeypatch, bundle)
-        solve_symmetrized(b, conn, grid, kb)
-        assert len(infos) == 1 and infos[0].iterations > 0
-        assert len(calls) <= 2 * infos[0].iterations + 3
+        for solve_grid in (grid, grid.five_point):
+            calls.clear()
+            infos.clear()
+            solve_symmetrized(b, conn, solve_grid, kb)
+            assert len(infos) == 1 and infos[0].iterations > 0
+            assert len(calls) <= 2 * infos[0].iterations + 3
 
     def test_memory_peak(self):
         """The PCG holds x, r, p and one work vector, the spectral apply two

@@ -108,6 +108,15 @@ class TestResidual:
         lam_quad = spec.rho * l2_inner(density, spec.kb.tau1, g)
         assert abs(lam_proj - lam_quad) < 1e-10 * max(1.0, abs(lam_quad))
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["harmonic", "exact"])
+    def test_kernel_multiplier_is_el_residual_lambda(self, grid64, exact):
+        conn = df_connection(grid64) if exact else harmonic_connection(grid64, 1.0, 0.5)
+        spec = make_problem(grid64, conn, ones_field(64), 6.0)
+        u = random_band_limited(grid64, np.random.default_rng(31), amplitude=0.7)
+        _, lam = el_residual(u, spec)
+        assert functional.kernel_multiplier(u.values, spec) == lam
+        assert (lam == 0.0) != exact
+
     def test_gradient_matches_finite_differences(self, df_problem64):
         spec = df_problem64
         g = spec.grid

@@ -385,6 +385,13 @@ class TestLayering:
                 and name not in read and name not in bundlemf.__all__]
         assert not idle, "no caller in the package: " + ", ".join(idle)
 
+    def test_one_krylov_routine(self):
+        """pcg is read only in bundle (the Poisson solve, which both Green
+        backends call) and in functional (the Newton step)."""
+        readers = {path.stem for path in package_sources()
+                   if "pcg" in set(read_names(ast.parse(path.read_text())))}
+        assert readers <= {"bundle", "functional"}, f"pcg read in {sorted(readers)}"
+
     def test_read_names_finds_each_form(self):
         src = ("from .geometry import curl\nimport numpy as np\n"
                "def f(u):\n    y = g(u)\n    return np.fft.rfft2(y)\n")

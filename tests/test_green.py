@@ -124,6 +124,19 @@ class TestBackends:
                                 - integrate(t1, g) / g.total_area)
         assert gd.lambda1 == pytest.approx(expected, abs=1e-10)
 
+    def test_five_point_twin_built_once(self):
+        """Two fd solves on one spec share the grid's 5-point twin, and the
+        kernel basis caches the twin's tau1 transform once."""
+        n = 256
+        g = build_grid(n)
+        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        solve_green((5, 7), spec, backend="fd")
+        twin = g.five_point
+        solve_green((9, 3), spec, backend="fd")
+        assert g.five_point is twin
+        held = [key for key, (grid, _) in spec.kb._spectra.items() if grid is twin]
+        assert held == [(id(twin), False)]
+
     def test_unknown_backend(self, spec128):
         with pytest.raises(ValueError):
             solve_green((0, 0), spec128, backend="magic")
