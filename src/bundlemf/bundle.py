@@ -17,15 +17,11 @@ from .geometry import (
     OneForm,
     ScalarField,
     TorusGrid,
-    codifferential,
-    curl,
     flat_laplacian_raw,
     from_spectral,
-    oneform_norm_field,
+    oneform_calculus,
     partial_derivatives,
-    primitive,
     solve_flat_poisson_raw,
-    spectral_inner,
     spectral_laplacian_plus,
     to_spectral,
 )
@@ -34,23 +30,6 @@ from .geometry import (
 class EigensolveError(RuntimeError):
     """The eigen-solve stopped short of its tolerance (the message names why,
     after how many steps and at what residual) or found lambda <= 0."""
-
-
-@dataclass(frozen=True)
-class Connection:
-    """Connection form w together with the cached potential V = |w|^2_g + d* w."""
-
-    omega: OneForm
-    potential: ScalarField
-
-    @property
-    def n(self) -> int:
-        return self.omega.n
-
-
-def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
-    pot = oneform_norm_field(omega, grid).values + codifferential(omega, grid).values
-    return Connection(omega=omega, potential=ScalarField(pot))
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ class KernelBasis:
     def deflation(self, grid: TorusGrid, against_weighted: bool = False,
                   along_weighted: bool = False):
         """The in-place map Z -> Z - (<Z, A> / <B, A>) B on Nyquist-free rfft2
-        coefficients, <.,.> Parseval's (geometry.spectral_inner) and A, B the
+        coefficients, <.,.> Parseval's (grid.inner) and A, B the
         `spectral` transforms of tau1, weighted as flagged: Z made
         Euclidean-orthogonal to A along B.  With A weighted, Z is
         L2(dv_g)-orthogonal to tau1.  <B, A> is summed once; the identity
@@ -117,33 +96,51 @@ class KernelBasis:
         if self.dim == 0:
             return lambda Z: Z
         A, B = self.spectral(grid, against_weighted), self.spectral(grid, along_weighted)
-        ba = spectral_inner(B, A)
+        inner = grid.inner
+        ba = inner(B, A)
 
         def deflate(Z):
-            Z -= (spectral_inner(Z, A) / ba) * B
+            Z -= (inner(Z, A) / ba) * B
             return Z
         return deflate
 
 
-def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
-    """Classify the kernel structurally from the holonomy of the connection.
+@dataclass(frozen=True)
+class Connection:
+    """Connection form w, its potential V = |w|^2_g + d* w and its kernel."""
 
-    The kernel is one-dimensional exactly when w is exact: both the scalar
-    curl and the two cycle periods must vanish (up to a spectral-noise
-    threshold).  Any nonzero period gives holonomy != 1 and forbids a global
-    periodic solution of du + u w = 0.
-    """
-    w = conn.omega
-    sup = max(np.max(np.abs(w.c1)), np.max(np.abs(w.c2)))
-    eps = 1e-8 * (1.0 + sup)
-    curl_inf = float(np.max(np.abs(curl(w, grid).values)))
-    period1 = float(np.mean(w.c1))
-    period2 = float(np.mean(w.c2))
-    if curl_inf > eps or abs(period1) > eps or abs(period2) > eps:
-        return KernelBasis(dim=0)
-    tau = np.exp(-primitive(w, grid).values)
-    tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
-    return KernelBasis(dim=1, tau1=ScalarField(tau))
+    omega: OneForm
+    potential: ScalarField
+    kernel: KernelBasis
+
+    @property
+    def n(self) -> int:
+        return self.omega.n
+
+
+def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
+    """The connection with form w from one transform of w's components
+    (geometry.oneform_calculus): V = e^{-2v} (w1^2 + w2^2 - div w), and the
+    kernel (KernelBasis), nontrivial exactly when w is exact: when the curl
+    and the two cycle periods vanish up to a spectral-noise threshold.  A
+    nonzero period gives holonomy != 1: no periodic solution of du + u w = 0."""
+    calculus = oneform_calculus(omega, grid)
+    eps = 1e-8 * (1.0 + max(np.max(np.abs(omega.c1)), np.max(np.abs(omega.c2))))
+    curl_inf = float(np.max(np.abs(next(calculus))))
+    pot = omega.c1**2 + omega.c2**2
+    pot -= next(calculus)
+    pot /= grid.exp2v
+    kernel = KernelBasis(dim=0)
+    if not (curl_inf > eps or abs(np.mean(omega.c1)) > eps or abs(np.mean(omega.c2)) > eps):
+        tau = np.exp(-next(calculus))
+        tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
+        kernel = KernelBasis(dim=1, tau1=ScalarField(tau))
+    return Connection(omega=omega, potential=ScalarField(pot), kernel=kernel)
+
+
+def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
+    """The kernel of the bundle Laplacian, classified once by make_connection."""
+    return conn.kernel
 
 
 def project_H1(u: ScalarField, kb: KernelBasis, grid: TorusGrid) -> ScalarField:
@@ -284,7 +281,7 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     del b
     X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
                   precond=lambda R: deflate(grid.shifted_inverse * R),
-                  inner=spectral_inner, tol=tol, max_iter=max_iter)
+                  inner=grid.inner, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
     return from_spectral(X, grid)
 
@@ -303,9 +300,8 @@ def poincare_constant(conn: Connection, grid: TorusGrid,
                       tol: float = EIG_TOL, max_iter: int = 500) -> float:
     """1 / lambda_min of the bundle Laplacian on the discrete complement of
     the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`."""
-    if kb is None:
-        kb = kernel_basis(conn, grid)
-    lam, _ = smallest_eigenvalue(conn, grid, kb, seed=seed, tol=tol, max_iter=max_iter)
+    lam, _ = smallest_eigenvalue(conn, grid, conn.kernel if kb is None else kb,
+                                 seed=seed, tol=tol, max_iter=max_iter)
     if lam <= 0.0:
         raise EigensolveError(f"nonpositive smallest eigenvalue {lam}")
     return 1.0 / lam
@@ -337,7 +333,7 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
     new low in EIG_STALL_STEPS steps), the step count and the final relative
     residual; it never returns a pair short of tol.
     """
-    V, n2 = conn.potential.values, grid.n**2
+    V, n2, inner = conn.potential.values, grid.n**2, grid.inner
     deflate = kb.deflation(grid, against_weighted=True)
     conformal = grid.v.values.any()
 
@@ -354,7 +350,7 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
         return v[0] if v[2] is None else v[2]
 
     def dot(u, v):
-        return spectral_inner(u[0], m(v))
+        return inner(u[0], m(v))
 
     def orthonormalize(v, basis):
         """Gram-Schmidt of v against the M-orthonormal basis, twice, in place
@@ -386,11 +382,11 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
     p = None
     best, since_best, steps = np.inf, 0, 0
     while True:
-        lam = spectral_inner(x[0], x[1]) / dot(x, x)
+        lam = inner(x[0], x[1]) / dot(x, x)
         R = lam * m(x)
         np.subtract(x[1], R, out=R)             # r = K x - lam M x
-        res = float(np.sqrt(spectral_inner(R, R))
-                    / (abs(lam) * np.sqrt(spectral_inner(m(x), m(x)))))
+        res = float(np.sqrt(inner(R, R))
+                    / (abs(lam) * np.sqrt(inner(m(x), m(x)))))
         if res <= tol:
             u = from_spectral(x[0], grid)
             u *= n2                             # unit in L2(dv_g), exactly
@@ -409,7 +405,7 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
         w[1] = spectral_laplacian_plus(w[0], V, grid)
         q = None if p is None else orthonormalize(p, [x, w])
         basis = [x, w] + ([q] if q else [])
-        G = np.array([[spectral_inner(a[0], b[1]) for b in basis] for a in basis])
+        G = np.array([[inner(a[0], b[1]) for b in basis] for a in basis])
         c = np.linalg.eigh(0.5 * (G + G.T))[1][:, 0]
         for i in range(3):      # p = c1 w + c2 q, x = c0 x + p, in w's and x's arrays
             if w[i] is not None:

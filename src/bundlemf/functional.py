@@ -29,14 +29,12 @@ from .bundle import (
     KernelBasis,
     bundle_energy,
     bundle_laplacian_raw,
-    kernel_basis,
     pcg,
 )
 from .geometry import (
     ScalarField,
     TorusGrid,
     from_spectral,
-    spectral_inner,
     spectral_laplacian_plus,
     to_spectral,
 )
@@ -76,7 +74,7 @@ class ProblemSpec:
 
 def make_problem(grid: TorusGrid, conn: Connection, hweight: ScalarField,
                  rho: float) -> ProblemSpec:
-    return ProblemSpec(grid=grid, conn=conn, kb=kernel_basis(conn, grid),
+    return ProblemSpec(grid=grid, conn=conn, kb=conn.kernel,
                        hweight=hweight, rho=float(rho))
 
 
@@ -184,11 +182,11 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
         init = ScalarField(np.zeros((g.n, g.n)))
     _guard(init.values)
 
-    h4 = g.h**4
+    h4, inner = g.h**4, g.inner
     primal = spec.kb.deflation(g, against_weighted=True)
 
     def norm(R: np.ndarray) -> float:
-        return float(g.h**2 * np.sqrt(spectral_inner(R, R)))
+        return float(g.h**2 * np.sqrt(inner(R, R)))
 
     U = primal(to_spectral(init.values, g))
     u, J, R = _state(U, spec)
@@ -204,10 +202,10 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     while not converged and it < opts.max_iter:
         it += 1
         D = _newton_direction(u, -R, spec)
-        slope = h4 * spectral_inner(R, D)
+        slope = h4 * inner(R, D)
         if slope >= 0.0:
             D = -primal(g.shifted_inverse * R)
-            slope = h4 * spectral_inner(R, D)
+            slope = h4 * inner(R, D)
 
         step = 1.0
         for _ in range(MAX_BACKTRACKS):
@@ -258,7 +256,7 @@ def _state(U: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndar
     ua = u * g.area_element
     Vu = spec.conn.potential.values * u
     KU = g.k2 * U
-    J = (0.5 * (g.h**4 * spectral_inner(U, KU) + float(np.vdot(Vu, ua)))
+    J = (0.5 * (g.h**4 * g.inner(U, KU) + float(np.vdot(Vu, ua)))
          + rho / g.total_area * float(np.sum(ua)) - rho * log_mu)
     q *= -rho * np.exp(shift - log_mu)          # -rho h e^u / mu
     q += rho / g.total_area
@@ -283,7 +281,7 @@ def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.nda
         H^ P = spectral_laplacian_plus(P, V - rho W) + rho h^4 <W^, P> W^,
 
     with W^ = to_spectral(e^{2v} W) formed once and <.,.> Parseval's
-    (geometry.spectral_inner), the diagonal preconditioner
+    (grid.inner), the diagonal preconditioner
     grid.shifted_inverse and the right-hand side B, minus the R of
     `_state` (pcg overwrites it).  In exact arithmetic this is the L2(dv_g)
     PCG preconditioned with (Delta_flat + 1)^{-1} e^{2v}; it stops on the
@@ -294,7 +292,7 @@ def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.nda
     steps costs 2m + 1 FFTs: W^ and the m operator applies.  It is zero on
     negative curvature at the first step; on negative curvature later, or
     at the 200-step cap, it is the iterate reached so far."""
-    g = spec.grid
+    g, inner = spec.grid, spec.grid.inner
     primal = spec.kb.deflation(g, against_weighted=True)   # in place, on pcg's
     dual = spec.kb.deflation(g, along_weighted=True)       # temporaries only
 
@@ -312,9 +310,9 @@ def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.nda
 
     def hess(P: np.ndarray) -> np.ndarray:
         HP = spectral_laplacian_plus(P, pot, g)
-        HP += (rank_one * spectral_inner(What, P)) * What
+        HP += (rank_one * inner(What, P)) * What
         return dual(HP)
 
     X, _ = pcg(hess, B, precond=lambda R: primal(g.shifted_inverse * R),
-               inner=spectral_inner, tol=1e-3, max_iter=200)
+               inner=inner, tol=1e-3, max_iter=200)
     return X

@@ -111,6 +111,13 @@ class TorusGrid:
         return replace(self, k2=_readonly(k2), mask=_readonly(np.ones_like(k2)),
                        shifted_inverse=_readonly(1.0 / (k2 + 1.0)))
 
+    @property
+    def inner(self):
+        """Parseval's inner product on this grid's rfft2 coefficients,
+        spectral_inner; on a masked grid, whose coefficients have a zero
+        Nyquist column, without that column's vdot, bit for bit the same."""
+        return spectral_inner if self.mask[0, -1] else _nyquist_free_inner
+
 
 def build_grid(n: int, v=None) -> TorusGrid:
     """Build the periodic torus grid; n must be a power of two, n >= 16.
@@ -179,12 +186,6 @@ def oneform_inner(a: OneForm, b: OneForm, grid: TorusGrid) -> float:
     return float(np.sum(a.c1 * b.c1 + a.c2 * b.c2) * grid.h**2)
 
 
-def oneform_norm_field(a: OneForm, grid: TorusGrid) -> ScalarField:
-    """Pointwise squared norm |a|^2_g = e^{-2v} (c1^2 + c2^2)."""
-    _check_shape(a, grid)
-    return ScalarField((a.c1**2 + a.c2**2) / grid.exp2v)
-
-
 # ---------------------------------------------------------------------------
 # spectral calculus
 # ---------------------------------------------------------------------------
@@ -223,6 +224,23 @@ def exterior_derivative(u: ScalarField, grid: TorusGrid) -> OneForm:
     return OneForm(*partial_derivatives(u.values, grid))
 
 
+def oneform_calculus(a: OneForm, grid: TorusGrid):
+    """The curl d1 a2 - d2 a1, the flat divergence d1 a1 + d2 a2 and the
+    zero-mean primitive f = -Delta_flat^+ div (df = a when a is exact), in
+    that order, each only when asked for: 2 FFTs for the transforms of a,
+    then one inverse FFT each.  Beside the two transforms it keeps no
+    spectrum: the divergence's, then the primitive's, are formed in them."""
+    _check_shape(a, grid)
+    A1, A2 = _rfft2(a.c1), _rfft2(a.c2)
+    yield np.fft.irfft2(1j * grid.kx * A2 - 1j * grid.ky * A1, s=a.c1.shape)
+    A1 *= 1j * grid.kx
+    A1 += np.multiply(A2, 1j * grid.ky, out=A2)
+    del A2
+    yield np.fft.irfft2(A1, s=a.c1.shape)
+    A1 *= pseudo_inverse(grid.k2)
+    yield np.fft.irfft2(np.negative(A1, out=A1), s=a.c1.shape)
+
+
 def codifferential(a: OneForm, grid: TorusGrid) -> ScalarField:
     """d* a = -e^{-2v} (d1 a1 + d2 a2) on the conformal torus."""
     _check_shape(a, grid)
@@ -234,21 +252,6 @@ def laplacian(u: ScalarField, grid: TorusGrid) -> ScalarField:
     """Positive Laplacian Delta_g u = d* du = -e^{-2v} Delta_flat u."""
     _check_shape(u, grid)
     return ScalarField(flat_laplacian_raw(u.values, grid) / grid.exp2v)
-
-
-def curl(a: OneForm, grid: TorusGrid) -> ScalarField:
-    """Scalar exterior derivative d(a) = d1 a2 - d2 a1 (flat components)."""
-    _check_shape(a, grid)
-    return ScalarField(fourier_multiply(a.c2, 1j * grid.kx)
-                       - fourier_multiply(a.c1, 1j * grid.ky))
-
-
-def primitive(a: OneForm, grid: TorusGrid) -> ScalarField:
-    """Least-squares primitive f of a 1-form (df = a when a is exact), in the
-    zero-mean gauge: 3 FFTs."""
-    _check_shape(a, grid)
-    num = -1j * (grid.kx * _rfft2(a.c1) + grid.ky * _rfft2(a.c2))
-    return ScalarField(np.fft.irfft2(num * pseudo_inverse(grid.k2), s=a.c1.shape))
 
 
 def flat_laplacian_raw(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -291,8 +294,11 @@ def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Parseval on the rfft2 layout: n^2 times the Euclidean inner product of
     the real arrays with rfft2 coefficients a and b (weight 1 on column 0
     and on the last, Nyquist, column, 2 on the inner columns)."""
-    return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real
-                 - np.vdot(a[:, -1], b[:, -1]).real)
+    return _nyquist_free_inner(a, b) - float(np.vdot(a[:, -1], b[:, -1]).real)
+
+
+def _nyquist_free_inner(a: np.ndarray, b: np.ndarray) -> float:
+    return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
 
 
 def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -29,15 +29,17 @@ from bundlemf.bundle import (
     solve_symmetrized,
 )
 from bundlemf.geometry import (
+    codifferential,
     flat_laplacian_raw,
+    fourier_multiply,
     from_spectral,
-    primitive,
+    pseudo_inverse,
     random_band_limited,
     spectral_inner,
     spectral_laplacian_plus,
     to_spectral,
 )
-from bundlemf.presets import make_v_field
+from bundlemf.presets import make_connection_form, make_v_field
 
 from conftest import (
     axis,
@@ -97,6 +99,35 @@ def solve_bundle_poisson(rhs, conn, grid, kb, tol=PCG_TOL, max_iter=PCG_MAX_ITER
                                          tol=tol, max_iter=max_iter))
 
 
+def primitive_reference(a, grid):
+    """The zero-mean least-squares primitive of a 1-form from its own two
+    transforms (3 FFTs): the construction make_connection replaced."""
+    num = -1j * (grid.kx * np.fft.rfft2(a.c1) + grid.ky * np.fft.rfft2(a.c2))
+    return np.fft.irfft2(num * pseudo_inverse(grid.k2), s=a.c1.shape)
+
+
+def curl_reference(a, grid):
+    """d1 a2 - d2 a1 by one Fourier multiplier per component (4 FFTs)."""
+    return fourier_multiply(a.c2, 1j * grid.kx) - fourier_multiply(a.c1, 1j * grid.ky)
+
+
+def potential_reference(a, grid):
+    """|a|^2_g + d* a, each term on its own route: the pointwise norm
+    e^{-2v} (a1^2 + a2^2) plus geometry.codifferential (4 FFTs)."""
+    return (a.c1**2 + a.c2**2) / grid.exp2v + codifferential(a, grid).values
+
+
+def kernel_reference(a, grid):
+    """(dim, tau1) of the kernel classified from the curl_reference and the
+    periods, tau1 from the primitive_reference."""
+    eps = 1e-8 * (1.0 + max(np.max(np.abs(a.c1)), np.max(np.abs(a.c2))))
+    if (np.max(np.abs(curl_reference(a, grid))) > eps or abs(np.mean(a.c1)) > eps
+            or abs(np.mean(a.c2)) > eps):
+        return 0, None
+    tau = np.exp(-primitive_reference(a, grid))
+    return 1, tau / np.sqrt(np.sum(tau**2 * grid.area_element))
+
+
 def kernel_residual(kb, conn, grid):
     du = exterior_derivative(kb.tau1, grid)
     d1 = du.c1 + kb.tau1.values * conn.omega.c1
@@ -124,7 +155,7 @@ class TestKernelBasis:
         assert kb.dim == 1
         assert kernel_residual(kb, conn, grid64) <= 1e-8
         # tau1 proportional to e^{-f}, f gauged to zero mean
-        f = primitive(conn.omega, grid64).values
+        f = primitive_reference(conn.omega, grid64)
         assert abs(np.mean(f)) < 1e-12
         ratio = kb.tau1.values * np.exp(f)
         assert np.ptp(ratio) < 1e-10 * np.max(ratio)
@@ -161,7 +192,7 @@ class TestKernelBasis:
         df = exterior_derivative(ScalarField(f), grid)
         kb = kernel_basis(make_connection(df, grid), grid)
         assert kb.dim == 1
-        gauged = primitive(df, grid).values
+        gauged = primitive_reference(df, grid)
         assert np.max(np.abs(gauged - (f - f.mean()))) <= 1e-12 * max(1.0, amp)
         tau = np.exp(-gauged)
         tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
@@ -169,6 +200,30 @@ class TestKernelBasis:
         a, b = (b, a) if swap else (a, b)
         harmonic = OneForm(df.c1 + a, df.c2 + b)
         assert kernel_basis(make_connection(harmonic, grid), grid).dim == 0
+
+    @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
+    @pytest.mark.parametrize("preset", ["zero", "harmonic:1,0.5", "exact:cos-x:0.3",
+                                        "harmonic+exact"])
+    def test_one_pass_matches_separate_routes(self, v, preset):
+        """make_connection's one transform of w gives the potential, the
+        kernel dimension and tau1 of the separate routes it replaced
+        (potential_reference, kernel_reference): V to 1e-13 relative, tau1
+        to 1e-14; kernel_basis returns the connection's own kernel."""
+        n = 64
+        grid = build_grid(n, make_v_field(v, n) if v else None)
+        if preset == "harmonic+exact":
+            ex = make_connection_form("exact:cos-x:0.3", grid)
+            w = OneForm(ex.c1 + 1.0, ex.c2 + 0.5)
+        else:
+            w = make_connection_form(preset, grid)
+        conn = make_connection(w, grid)
+        ref = potential_reference(w, grid)
+        assert np.max(np.abs(conn.potential.values - ref)) <= 1e-13 * np.max(np.abs(ref))
+        dim, tau = kernel_reference(w, grid)
+        assert kernel_basis(conn, grid) is conn.kernel
+        assert conn.kernel.dim == dim == (preset in ("zero", "exact:cos-x:0.3"))
+        if dim:
+            assert np.max(np.abs(conn.kernel.tau1.values - tau)) <= 1e-14 * np.max(tau)
 
 
 class TestProjection:
@@ -294,11 +349,8 @@ class TestBundleOperators:
         assert np.max(np.abs(Kp - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
 
     def test_potential_recomputable(self, grid64):
-        from bundlemf.geometry import codifferential, oneform_norm_field
-
         conn = df_connection(grid64, 0.25)
-        recomputed = (oneform_norm_field(conn.omega, grid64).values
-                      + codifferential(conn.omega, grid64).values)
+        recomputed = potential_reference(conn.omega, grid64)
         assert np.max(np.abs(conn.potential.values - recomputed)) < 1e-12
 
 
@@ -342,7 +394,9 @@ class TestSpectralPCG:
     @given(n=st.sampled_from([16, 32]), seed=st.integers(0, 2**32 - 1))
     def test_parseval(self, n, seed):
         """Exact on Nyquist-free coefficients and on the full rfft2 layout,
-        whose last (Nyquist) column the 5-point twin's Krylov vectors fill."""
+        whose last (Nyquist) column the 5-point twin's Krylov vectors fill.
+        The twin's `inner` is spectral_inner; a masked grid's drops that
+        column's vdot and equals it bit for bit on masked coefficients."""
         grid = build_grid(n)
         rng = np.random.default_rng(seed)
         raw = [rng.standard_normal((n, n)) for _ in range(2)]
@@ -353,6 +407,10 @@ class TestSpectralPCG:
             scale = n**2 * np.linalg.norm(a) * np.linalg.norm(b)
             assert abs(spectral_inner(A, B) - n**2 * np.sum(a * b)) <= 1e-12 * scale
             assert abs(spectral_inner(A, A) - n**2 * np.sum(a * a)) <= 1e-12 * n**2 * np.sum(a * a)
+        assert grid.five_point.inner is spectral_inner
+        A, B = (to_spectral(a, grid) for a in masked)
+        assert grid.inner(A, B) == spectral_inner(A, B)
+        assert grid.inner(A, A) == spectral_inner(A, A)
 
     @pytest.mark.parametrize("conformal", [False, True], ids=["flat", "cos-x"])
     @pytest.mark.parametrize("kind", ["exact", "harmonic"])
@@ -491,6 +549,19 @@ class TestPoincare:
         kb = kernel_basis(conn, grid)
         _, x = smallest_eigenvalue(conn, grid, kb)
         assert abs(l2_inner(x, x, grid) - 1.0) <= 1e-12
+
+    def test_no_kernel_ffts(self, monkeypatch, grid32):
+        """Without kb, poincare_constant reads the connection's kernel: it
+        spends the FFTs of the eigen-solve with kb given, and no more."""
+        calls = count_fft_calls(monkeypatch)
+        spent = []
+        for given_kb in (False, True):
+            conn = df_connection(grid32)    # fresh: tau1's transforms not cached
+            kb = kernel_basis(conn, grid32) if given_kb else None
+            calls.clear()
+            poincare_constant(conn, grid32, kb)
+            spent.append(len(calls))
+        assert spent[0] == spent[1]
 
     def test_refinement_stability(self):
         vals = []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bundlemf import ScalarField, build_grid, bundle, green
-from bundlemf.cli import RunConfig, config_hash, load_config, main
+from bundlemf.cli import RunConfig, build_problem, config_hash, load_config, main
 from bundlemf.presets import (
     make_connection_form,
     make_h_field,
@@ -21,7 +21,7 @@ from bundlemf.presets import (
     save_scalar_csv,
 )
 
-from conftest import fresh_python, traced_peak
+from conftest import count_fft_calls, fresh_python, traced_peak
 
 VOLATILE = ("wall_time_s", "timestamp")
 
@@ -125,6 +125,29 @@ class TestMemory:
             peak = traced_peak(lambda: main(argv))
         assert read_summary(tmp_path, "qk")["status"] == "ok"
         assert peak <= 17.5 * 8 * n * n
+
+
+class TestSetup:
+    @pytest.mark.parametrize("v", ["zero", "cos-x:0.3"])
+    @pytest.mark.parametrize("connection, budget", [("exact:cos-x:0.3", 8), ("zero", 5),
+                                                    ("harmonic:1,0.5", 4)])
+    def test_build_problem_fft_budget(self, monkeypatch, connection, budget, v):
+        """make_connection transforms w's components once (2 FFTs), then
+        pays one inverse FFT for the curl, one for the divergence and, for
+        an exact w only, one for the primitive; the exact preset's form is an
+        exterior derivative, 3 more."""
+        cfg = load_config(None, {"n": 32, "connection": connection, "v_preset": v})
+        calls = count_fft_calls(monkeypatch)
+        build_problem(cfg)
+        assert len(calls) <= budget
+
+    def test_build_problem_peak(self):
+        """At n = 256 on the exact connection the grid, h and w hold 6.5
+        n x n arrays, and the curl's inverse FFT beside w's two transforms
+        adds 5: at most 11.8 arrays (11.56 measured)."""
+        n = 256
+        cfg = load_config(None, {"n": n, "connection": "exact:cos-x:0.3"})
+        assert traced_peak(lambda: build_problem(cfg)) <= 11.8 * 8 * n * n
 
 
 class TestExitCodes:

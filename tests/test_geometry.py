@@ -20,9 +20,9 @@ from bundlemf import (
     oneform_inner,
 )
 from bundlemf import bundle, geometry
-from bundlemf.geometry import _rfft2, random_band_limited
+from bundlemf.geometry import _rfft2, flat_laplacian_raw, oneform_calculus, random_band_limited
 
-from conftest import axis, cos_x_field, fresh_python
+from conftest import axis, cos_x_field, count_fft_calls, fresh_python
 
 
 def gauss_integral_exp2v(amp, panels=64, order=20):
@@ -202,6 +202,24 @@ class TestCodifferential:
         c = np.full((64, 64), 1.7)
         z = np.zeros((64, 64))
         assert np.max(np.abs(codifferential(OneForm(c, z), grid64).values)) < 1e-12
+
+
+class TestOneFormCalculus:
+    def test_parts_and_fft_budget(self, monkeypatch, grid64):
+        """w = df + (-g_y, g_x) + a dx + b dy has curl Delta_classic g,
+        divergence Delta_classic f and primitive f - mean f; the transforms
+        of w cost 2 FFTs and each part one more, paid only when asked for."""
+        rng = np.random.default_rng(11)
+        f, g = (random_band_limited(grid64, rng).values for _ in range(2))
+        df = exterior_derivative(ScalarField(f), grid64)
+        dg = exterior_derivative(ScalarField(g), grid64)
+        w = OneForm(df.c1 - dg.c2 + 0.7, df.c2 + dg.c1 - 1.3)
+        expected = (-flat_laplacian_raw(g, grid64), -flat_laplacian_raw(f, grid64),
+                    f - f.mean())
+        calls = count_fft_calls(monkeypatch)
+        for k, (part, ref) in enumerate(zip(oneform_calculus(w, grid64), expected)):
+            assert len(calls) == 3 + k
+            assert np.max(np.abs(part - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestLaplacian:
