@@ -37,6 +37,7 @@ from .presets import (
     make_connection_form,
     make_h_field,
     make_v_field,
+    save_array_csv,
     save_field_json,
     save_scalar_csv,
 )
@@ -267,7 +268,7 @@ def cmd_critmap(cfg: RunConfig, outdir) -> dict:
         out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    np.savetxt(outdir / "critmap.csv", out["values"], delimiter=",", fmt="%.17g")
+    save_array_csv(out["values"], outdir / "critmap.csv")
     out = dict(out)
     out["values"] = None
     out["map_csv"] = "critmap.csv"

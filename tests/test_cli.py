@@ -2,7 +2,9 @@ import contextlib
 import functools
 import io
 import json
+import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +127,17 @@ class TestMemory:
             peak = traced_peak(lambda: main(argv))
         assert read_summary(tmp_path, "qk")["status"] == "ok"
         assert peak <= 17.5 * 8 * n * n
+
+
+    def test_csv_writer_peak(self, tmp_path):
+        """save_scalar_csv formats a row chunk of at most 1/32 of the field
+        at a time, so it adds about one n x n array at n = 256 (1.06
+        measured) and never raises the peak of the command that calls it."""
+        n = 256
+        x = np.arange(n) / n
+        u = ScalarField(np.sin(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x))
+        peak = traced_peak(lambda: save_scalar_csv(u, str(tmp_path / "u.csv")))
+        assert peak <= 1.25 * 8 * n * n
 
 
 class TestSetup:
@@ -469,6 +482,98 @@ def extremes(components):
 roundtrip = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+def savetxt_bytes(values):
+    """The oracle: what np.savetxt writes for values."""
+    fh = io.StringIO()
+    np.savetxt(fh, values, delimiter=",", fmt="%.17g")
+    return fh.getvalue().encode()
+
+
+def writer_bytes(values):
+    """The field writer's text for values, and its count of values left to
+    Python's formatting."""
+    from bundlemf.presets import _write_rows
+
+    fh = io.BytesIO()
+    fallbacks = _write_rows(fh, values)
+    return fh.getvalue(), fallbacks
+
+
+def exact_ties():
+    """Doubles x = M 2**(E - 17), M odd, in [10**E, 10**(E + 1)): x
+    10**(16 - E) = M 5**(16 - E) / 2 ends in exactly one half, which "%.17g"
+    rounds to even.  The first is 2**-25 -> 2.9802322387695312e-08."""
+    ties = []
+    for e in range(-8, 12):
+        least = math.ceil(2 ** 17 * Fraction(5) ** e) | 1     # x >= 10**E
+        for m in (least, least + 2, least + 6):
+            x = m * 2.0 ** (e - 17)
+            if x < 10.0 ** (e + 1):
+                ties.append(x)
+    return np.array(ties)
+
+
+def text_examples():
+    """Signed zeros, subnormals and extremes, the powers of two 2**-25 ..
+    2**-60, powers of ten and their neighbours, the fixed/exponential
+    switches of %g, integers from 1e17 up, nextafter(1, 0), and doubles just
+    below a power of ten that round up to it (1e-14 among the powers)."""
+    fin = np.finfo(float)
+    pow10 = 10.0 ** np.arange(-30, 31)
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    vals = np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, fin.tiny, fin.max, -fin.max],
+        2.0 ** -np.arange(25, 61),
+        pow10, np.nextafter(pow10, 0), np.nextafter(pow10, np.inf),
+        switch, np.nextafter(switch, 0), np.nextafter(switch, np.inf),
+        [1e17 + 16, 123456789012345678.0, 2.0 ** 57, 2.0 ** 60 + 2 ** 9, 9.87e21, 1e22,
+         1e23, -4.2e25, 2.0 ** 70],
+        [np.nextafter(1.0, 0), -np.nextafter(1.0, 0), 0.1, -2.0 / 3.0, 1e-280, 1e280,
+         -1.234e-150, 7.5e299],
+        [1e-79, -1e98, 1e153],    # below 10**k, yet "%.17g" carries to "1e..."
+    ])
+    return np.resize(vals, (len(vals) // 8 + 1, 8))
+
+
+class TestCsvText:
+    """The vectorized writer emits the bytes of np.savetxt(fmt="%.17g")."""
+
+    @given(a=st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(lambda shape: hnp.arrays(
+        np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))))
+    def test_any_finite_doubles(self, a):
+        assert writer_bytes(a)[0] == savetxt_bytes(a)
+
+    def test_examples(self):
+        a = text_examples()
+        assert writer_bytes(a)[0] == savetxt_bytes(a)
+        assert writer_bytes(a.reshape(-1, 1))[0] == savetxt_bytes(a.reshape(-1, 1))
+
+    def test_ties_fall_back(self):
+        ties = exact_ties()
+        assert len(ties) >= 40
+        text, fallbacks = writer_bytes(ties.reshape(1, -1))
+        assert text == savetxt_bytes(ties.reshape(1, -1))
+        assert text.startswith(b"2.9802322387695312e-08,")
+        assert fallbacks == len(ties)
+
+    def test_smooth_field_needs_no_fallback(self):
+        x = np.arange(256) / 256
+        field = 3.7 * np.sin(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x) + 0.2
+        text, fallbacks = writer_bytes(field)
+        assert fallbacks == 0
+        assert text == savetxt_bytes(field)
+
+    def test_non_finite_as_before(self, tmp_path):
+        """critmap's values are not validated: nan and inf print as before."""
+        from bundlemf.presets import save_array_csv
+
+        a = np.array([[np.nan, 1.5, -np.inf], [np.inf, -0.0, -np.nan]])
+        save_array_csv(a, tmp_path / "map.csv")
+        np.savetxt(tmp_path / "ref.csv", a, delimiter=",", fmt="%.17g")
+        assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert writer_bytes(a)[1] == 4
+
+
 class TestFieldIO:
     @roundtrip
     @given(a=stacked_fields(1))
@@ -481,7 +586,8 @@ class TestFieldIO:
         path = tmp_path / "field.csv"
         save_scalar_csv(u, str(path), "zero")
         back = load_scalar_csv(str(path), expected_n=u.n)
-        assert np.array_equal(back.values, u.values)
+        # bit patterns, so that -0.0 written as "0" fails
+        assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
 
     @roundtrip
     @given(a=stacked_fields(2))
@@ -494,8 +600,20 @@ class TestFieldIO:
         path = tmp_path / "form.csv"
         save_oneform_csv(w, str(path))
         back = load_oneform_csv(str(path), expected_n=w.n)
-        assert np.array_equal(back.c1, w.c1)
-        assert np.array_equal(back.c2, w.c2)
+        assert np.array_equal(back.c1.view(np.int64), w.c1.view(np.int64))
+        assert np.array_equal(back.c2.view(np.int64), w.c2.view(np.int64))
+
+    def test_oneform_bytes(self, tmp_path):
+        """c1's rows then c2's, as np.savetxt wrote the stacked payload."""
+        from bundlemf import OneForm
+        from bundlemf.presets import save_oneform_csv
+
+        rng = np.random.default_rng(3)
+        w = OneForm(rng.standard_normal((16, 16)), -rng.random((16, 16)) * 1e-7)
+        path = tmp_path / "form.csv"
+        save_oneform_csv(w, str(path), "cos-x:0.3")
+        assert path.read_bytes() == b"n,v-preset\n16,cos-x:0.3\n" + savetxt_bytes(
+            np.vstack([w.c1, w.c2]))
 
     def test_header_validated(self, tmp_path):
         from bundlemf.presets import load_scalar_csv
