@@ -9,7 +9,6 @@ from .bundle import (
     KernelBasis,
     bundle_energy,
     bundle_laplacian,
-    kernel_basis,
     make_connection,
     poincare_constant,
     project_H1,
@@ -51,7 +50,7 @@ from .testfunctions import (
 
 __all__ = [
     "Connection", "KernelBasis", "bundle_energy", "bundle_laplacian",
-    "kernel_basis", "make_connection", "poincare_constant", "project_H1",
+    "make_connection", "poincare_constant", "project_H1",
     "ExponentOverflowError", "MinimizeResult", "ProblemSpec", "SolverOptions",
     "el_residual", "evaluate_J", "make_problem", "minimize",
     "OneForm", "ScalarField", "TorusGrid", "build_grid", "codifferential",

@@ -9,6 +9,7 @@ V = |w|^2_g + d* w, which is what every solver in this module exploits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import numpy.random  # noqa: F401  (numpy 2 imports it on first use, inside a solve)
@@ -37,40 +38,39 @@ class KernelBasis:
     """Covariantly-constant sections: dimension 0 or 1, never more.
 
     When the connection form is exact, w = df, the kernel is spanned by
-    tau1 ~ e^{-f} normalized to unit L2 norm, f the zero-mean primitive.
+    tau1 ~ e^{-f} normalized to unit L2(dv_g) norm, f the zero-mean
+    primitive.  Only make_connection builds one, and `area` is its grid's
+    area_element, held by reference.
 
-    `component` and `project` act on raw arrays in the inner product with
-    quadrature `weights` (Euclidean when None): the projection onto H1, the
-    complement of the kernel, for every solver.  <tau1, tau1>_w is summed
-    once per weights array.  `spectral` gives the Fourier-space solvers the
-    masked transforms of tau1 and of e^{2v} tau1, each computed once per
-    grid, and `deflation` the one projection they deflate tau1 with.
+    `component` and `project` act on raw arrays in L2(dv_g): the projection
+    onto H1, the complement of the kernel, for every solver.
+    <tau1, tau1> is summed once, on first use.  `spectral` gives the
+    Fourier-space solvers the masked transforms of tau1 and of e^{2v} tau1,
+    each computed once per grid, and `deflation` the one projection they
+    deflate tau1 with.
     """
 
     dim: int
     tau1: ScalarField | None = None
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    area: np.ndarray | None = field(default=None, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def component(self, z: np.ndarray, weights: np.ndarray | None = None) -> float:
-        """<z, tau1>_w / <tau1, tau1>_w; 0.0 when the kernel is trivial."""
+    @cached_property
+    def _norm2(self) -> float:
+        t = self.tau1.values
+        return float(np.sum(t * t * self.area))
+
+    def component(self, z: np.ndarray) -> float:
+        """<z, tau1> / <tau1, tau1> in L2(dv_g); 0.0 when the kernel is trivial."""
         if self.dim == 0:
             return 0.0
-        t = self.tau1.values
-        hit = self._norms.get(id(weights))
-        if hit is None or hit[0] is not weights:
-            hit = self._norms[id(weights)] = (weights, self._dot(t, t, weights))
-        return self._dot(z, t, weights) / hit[1]
+        return float(np.sum(z * self.tau1.values * self.area)) / self._norm2
 
-    @staticmethod
-    def _dot(a: np.ndarray, b: np.ndarray, weights: np.ndarray | None) -> float:
-        return float(np.vdot(b, a).real if weights is None else np.sum(a * b * weights))
-
-    def project(self, z: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    def project(self, z: np.ndarray) -> np.ndarray:
         """z minus its tau1 component; z itself when the kernel is trivial."""
         if self.dim == 0:
             return z
-        return z - self.component(z, weights) * self.tau1.values
+        return z - self.component(z) * self.tau1.values
 
     def spectral(self, grid: TorusGrid, weighted: bool = False) -> np.ndarray:
         """The read-only masked transform (geometry.to_spectral) of tau1, or
@@ -134,18 +134,13 @@ def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
     if not (curl_inf > eps or abs(np.mean(omega.c1)) > eps or abs(np.mean(omega.c2)) > eps):
         tau = np.exp(-next(calculus))
         tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
-        kernel = KernelBasis(dim=1, tau1=ScalarField(tau))
+        kernel = KernelBasis(dim=1, tau1=ScalarField(tau), area=grid.area_element)
     return Connection(omega=omega, potential=ScalarField(pot), kernel=kernel)
 
 
-def kernel_basis(conn: Connection, grid: TorusGrid) -> KernelBasis:
-    """The kernel of the bundle Laplacian, classified once by make_connection."""
-    return conn.kernel
-
-
-def project_H1(u: ScalarField, kb: KernelBasis, grid: TorusGrid) -> ScalarField:
+def project_H1(u: ScalarField, kb: KernelBasis) -> ScalarField:
     """L2(dv_g)-orthogonal projection onto the complement of the kernel."""
-    return u if kb.dim == 0 else ScalarField(kb.project(u.values, grid.area_element))
+    return u if kb.dim == 0 else ScalarField(kb.project(u.values))
 
 
 def bundle_energy(u: ScalarField, conn: Connection, grid: TorusGrid) -> float:
@@ -257,8 +252,7 @@ def require_converged(info: PCGInfo, what: str) -> None:
 
 
 def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
-                      kb: KernelBasis, tol: float = PCG_TOL,
-                      max_iter: int = PCG_MAX_ITER) -> np.ndarray:
+                      tol: float = PCG_TOL, max_iter: int = PCG_MAX_ITER) -> np.ndarray:
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
     complement: directly when V = 0, else by PCG in Fourier space (Boyd,
     Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15); raises
@@ -276,7 +270,7 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     V = conn.potential.values
     if not V.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
-    deflate = kb.deflation(grid)   # in place: only ever given pcg's temporaries
+    deflate = conn.kernel.deflation(grid)   # in place: only ever given pcg's temporaries
     B = deflate(to_spectral(b, grid))
     del b
     X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
@@ -295,20 +289,18 @@ EIG_STALL_STEPS = 20    # steps without a new lowest residual that make a stall
 EIG_DEPENDENT = 1e-8    # share of a vector left by Gram-Schmidt below which it is dependent
 
 
-def poincare_constant(conn: Connection, grid: TorusGrid,
-                      kb: KernelBasis | None = None, seed: int = 0,
+def poincare_constant(conn: Connection, grid: TorusGrid, seed: int = 0,
                       tol: float = EIG_TOL, max_iter: int = 500) -> float:
     """1 / lambda_min of the bundle Laplacian on the discrete complement of
     the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`."""
-    lam, _ = smallest_eigenvalue(conn, grid, conn.kernel if kb is None else kb,
-                                 seed=seed, tol=tol, max_iter=max_iter)
+    lam, _ = smallest_eigenvalue(conn, grid, seed=seed, tol=tol, max_iter=max_iter)
     if lam <= 0.0:
         raise EigensolveError(f"nonpositive smallest eigenvalue {lam}")
     return 1.0 / lam
 
 
-def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
-                        seed: int = 0, tol: float = EIG_TOL,
+def smallest_eigenvalue(conn: Connection, grid: TorusGrid, seed: int = 0,
+                        tol: float = EIG_TOL,
                         max_iter: int = 500) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of Delta_g + V on the Nyquist-free fields
     L2(dv_g)-orthogonal to the kernel, and its unit eigenvector.
@@ -334,7 +326,7 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, kb: KernelBasis,
     residual; it never returns a pair short of tol.
     """
     V, n2, inner = conn.potential.values, grid.n**2, grid.inner
-    deflate = kb.deflation(grid, against_weighted=True)
+    deflate = conn.kernel.deflation(grid, against_weighted=True)
     conformal = grid.v.values.any()
 
     def mass(Z):            # M z, or None on the flat torus, where M z is z

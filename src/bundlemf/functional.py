@@ -26,7 +26,6 @@ import numpy as np
 
 from .bundle import (
     Connection,
-    KernelBasis,
     bundle_energy,
     bundle_laplacian_raw,
     pcg,
@@ -58,7 +57,6 @@ class ProblemSpec:
 
     grid: TorusGrid
     conn: Connection
-    kb: KernelBasis
     hweight: ScalarField
     rho: float
 
@@ -74,8 +72,7 @@ class ProblemSpec:
 
 def make_problem(grid: TorusGrid, conn: Connection, hweight: ScalarField,
                  rho: float) -> ProblemSpec:
-    return ProblemSpec(grid=grid, conn=conn, kb=conn.kernel,
-                       hweight=hweight, rho=float(rho))
+    return ProblemSpec(grid=grid, conn=conn, hweight=hweight, rho=float(rho))
 
 
 @dataclass(frozen=True)
@@ -141,19 +138,19 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     the bundle Laplacian annihilates tau1.
     """
     _guard(u.values)
-    area = spec.grid.area_element
+    kb = spec.conn.kernel
     r, _ = _raw_residual(u.values, spec)
-    coef = spec.kb.component(r, area)
-    return ScalarField(spec.kb.project(r, area)), 0.0 - coef   # never -0.0
+    coef = kb.component(r)
+    return ScalarField(kb.project(r)), 0.0 - coef   # never -0.0
 
 
 def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
     """lambda1 of el_residual from the same raw residual, with no projected
     residual built; 0.0 at once when the kernel is trivial."""
-    if spec.kb.dim == 0:
+    if spec.conn.kernel.dim == 0:
         return 0.0
     r, _ = _raw_residual(u, spec)
-    return 0.0 - spec.kb.component(r, spec.grid.area_element)
+    return 0.0 - spec.conn.kernel.component(r)
 
 
 def minimize(spec: ProblemSpec, init: ScalarField | None = None,
@@ -183,7 +180,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     _guard(init.values)
 
     h4, inner = g.h**4, g.inner
-    primal = spec.kb.deflation(g, against_weighted=True)
+    primal = spec.conn.kernel.deflation(g, against_weighted=True)
 
     def norm(R: np.ndarray) -> float:
         return float(g.h**2 * np.sqrt(inner(R, R)))
@@ -265,7 +262,7 @@ def _state(U: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndar
     q *= g.n**2                  # e^{2v} = area_element / h^2, exactly
     R = to_spectral(q, g)
     R += KU
-    return u, J, spec.kb.deflation(g, along_weighted=True)(R)
+    return u, J, spec.conn.kernel.deflation(g, along_weighted=True)(R)
 
 
 def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -293,8 +290,9 @@ def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.nda
     negative curvature at the first step; on negative curvature later, or
     at the 200-step cap, it is the iterate reached so far."""
     g, inner = spec.grid, spec.grid.inner
-    primal = spec.kb.deflation(g, against_weighted=True)   # in place, on pcg's
-    dual = spec.kb.deflation(g, along_weighted=True)       # temporaries only
+    kb = spec.conn.kernel
+    primal = kb.deflation(g, against_weighted=True)   # in place, on pcg's
+    dual = kb.deflation(g, along_weighted=True)       # temporaries only
 
     # e^{2v} = area_element / h^2 scales the fields in place, as in the
     # Poisson apply

@@ -130,7 +130,7 @@ def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
     rhs[0] *= g.area_element
     rhs[0] *= g.n**2              # e^{2v} = area_element / h^2, exactly
     grid = g if backend == "spectral" else g.five_point
-    return solve_symmetrized(rhs.pop(), spec.conn, grid, spec.kb)
+    return solve_symmetrized(rhs.pop(), spec.conn, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +184,30 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     mass_rest = (s.sum() - s[i, j]) * g.h**2
     s[i, j] = (log0 - mass_rest) / g.h**2
 
-    kb = spec.kb
+    kb = spec.conn.kernel
     area = g.area_element
     f = m / g.exp2v - 8.0 * np.pi / g.total_area - spec.conn.potential.values * s
     del r, m
-    lambda1 = 0.0
+    lambda1 = residual = 0.0
     if kb.dim == 1:
         t1 = kb.tau1.values
         lambda1 = 8.0 * np.pi * (t1[i, j] - np.sum(t1 * area) / g.total_area)
         f -= lambda1 * t1
-    residual = kb.component(f, area)
-    if abs(residual) > solvability_tol:
-        raise SolvabilityError(
-            f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
-            "the multiplier and the discretization are inconsistent")
+        residual = kb.component(f)
+        if abs(residual) > solvability_tol:
+            raise SolvabilityError(
+                f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
+                "the multiplier and the discretization are inconsistent")
+        f -= residual * t1                # projected onto H1
 
-    rhs = [kb.project(f, area)]           # handed over: freed once transformed
+    rhs = [f]                             # handed over: freed once transformed
     del f
     w = _solve_smooth(rhs, spec, backend)
 
     vp = float(g.v.values[i, j])
     B = s + w
     B[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
-    G = kb.project(B, area)
+    G = kb.project(B)
     del s, w, B
     A_p = float(G[i, j])
     mean_G = float(np.sum(G * area))
@@ -229,8 +230,6 @@ def critical_value(gd: GreenData, spec: ProblemSpec) -> float:
     + (4 pi/|Sigma|) int G dv_g."""
     i, j = gd.p
     hp = float(spec.hweight.values[i, j])
-    if hp <= 0.0:
-        raise ValueError("weight h must be strictly positive")
     pi = np.pi
     return float(-8.0 * pi - 4.0 * pi * gd.A_p - 8.0 * pi * np.log(pi)
                  - 8.0 * pi * np.log(hp) + 4.0 * pi * gd.meanG / spec.grid.total_area)

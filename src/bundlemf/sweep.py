@@ -228,8 +228,8 @@ def blowup_diagnostics(records: list[SweepRecord], spec: ProblemSpec) -> dict:
     decay = r_scale**2 * np.exp(SCALE_GAMMA * c)
 
     c0 = float(max(0.0, np.max(energy - 8.4 * np.pi * c)))
-    t1 = spec.kb.tau1.values if spec.kb.dim == 1 else None
-    tau_max = float(np.max(np.abs(t1))) if t1 is not None else 0.0
+    t1 = spec.conn.kernel.tau1
+    tau_max = float(np.max(np.abs(t1.values))) if t1 is not None else 0.0
     area = spec.grid.total_area
     h = spec.hweight.values
     lambda_bound = 8.0 * np.pi * (tau_max + area**0.5 / area) * float(h.max() / h.min())

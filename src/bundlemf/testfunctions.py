@@ -99,7 +99,7 @@ def moser_profile(z, delta: float, k: int, grid: TorusGrid) -> ScalarField:
 def moser_family(z, delta: float, k: int, spec: ProblemSpec) -> ScalarField:
     """Projected Moser function, a member of the discrete kernel complement."""
     u = moser_profile(z, delta, k, spec.grid)
-    return project_H1(u, spec.kb, spec.grid)
+    return project_H1(u, spec.conn.kernel)
 
 
 def tm_probe(alpha: float, family, conn, grid: TorusGrid) -> list[float]:
@@ -228,9 +228,12 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     np.subtract(gd.G.values, q, out=q)
     cap = r <= R / k
     q[cap] = bubble_cap(c, k, r[cap])
-    return QkFamily(p=(i, j), k=k, R=R, c=c,
-                    field=ScalarField(spec.kb.project(q, g.area_element)),
-                    greendata=gd, shift=spec.kb.component(q, g.area_element))
+    kb = spec.conn.kernel
+    shift = kb.component(q)
+    if kb.dim == 1:
+        q -= shift * kb.tau1.values       # projected onto H1
+    return QkFamily(p=(i, j), k=k, R=R, c=c, field=ScalarField(q),
+                    greendata=gd, shift=shift)
 
 
 def _qk_ramp(r: np.ndarray, a: float) -> np.ndarray:

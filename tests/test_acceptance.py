@@ -13,7 +13,6 @@ from bundlemf import (
     el_residual,
     evaluate_J,
     integrate,
-    kernel_basis,
     l2_inner,
     laplacian,
     make_problem,
@@ -151,7 +150,7 @@ def test_criterion_05_subcritical_minimization():
     full = (bundle_laplacian(res2.u, spec2.conn, g).values
             - spec2.rho * (spec2.hweight.values * np.exp(res2.u.values) / res2.mu
                            - 1.0 / g.total_area)
-            + res2.lambda1 * spec2.kb.tau1.values)
+            + res2.lambda1 * spec2.conn.kernel.tau1.values)
     full_norm = float(np.sqrt(np.sum(full**2 * g.area_element)))
     check(fails, full_norm <= 1e-7, "criterion 5 (bundle optimality)",
           f"full Euler-Lagrange norm = {full_norm:.2e} (<= 1e-7)")
@@ -166,7 +165,7 @@ def test_criterion_06_kernel_dichotomy():
 
     for name, conn in (("zero", zero_connection(g)),
                        ("exact", df_connection(g, 0.3))):
-        kb = kernel_basis(conn, g)
+        kb = conn.kernel
         du = exterior_derivative(kb.tau1, g)
         d1 = du.c1 + kb.tau1.values * conn.omega.c1
         d2 = du.c2 + kb.tau1.values * conn.omega.c2
@@ -174,15 +173,15 @@ def test_criterion_06_kernel_dichotomy():
         check(fails, kb.dim == 1 and resid <= 1e-8,
               f"criterion 6 ({name} connection)",
               f"dim = {kb.dim} (= 1), kernel residual = {resid:.2e} (<= 1e-8)")
-        lam, _ = smallest_eigenvalue(conn, g, kb)
+        lam, _ = smallest_eigenvalue(conn, g)
         check(fails, lam >= 0.1, f"criterion 6 ({name} gap)",
               f"deflated smallest eigenvalue = {lam:.3f} (>= 0.1)")
 
     conn = harmonic_connection(g, 2 * np.pi, 0.0)
-    kb = kernel_basis(conn, g)
+    kb = conn.kernel
     check(fails, kb.dim == 0, "criterion 6 (holonomy)",
           f"omega = 2 pi dx: dim = {kb.dim} (= 0)")
-    lam, _ = smallest_eigenvalue(conn, g, kb)
+    lam, _ = smallest_eigenvalue(conn, g)
     check(fails, lam >= 0.1, "criterion 6 (holonomy gap)",
           f"smallest eigenvalue = {lam:.3f} (>= 0.1)")
     assert not fails, "\n".join(fails)
@@ -193,15 +192,15 @@ def test_criterion_07_poincare():
     n = 64
     g = build_grid(n)
     conn = zero_connection(g)
-    kb = kernel_basis(conn, g)
-    C = poincare_constant(conn, g, kb)
+    kb = conn.kernel
+    C = poincare_constant(conn, g)
     exact = 1.0 / (4 * np.pi**2)
     check(fails, abs(C - exact) <= 1e-3 * exact, "criterion 7 (constant)",
           f"C = {C:.8f} vs 1/(4 pi^2) = {exact:.8f} (0.1%)")
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(200):
-        u = project_H1(random_band_limited(g, rng, kmax=10), kb, g)
+        u = project_H1(random_band_limited(g, rng, kmax=10), kb)
         lhs = l2_inner(u, u, g)
         rhs = C * bundle_energy(u, conn, g)
         worst = max(worst, lhs / rhs if rhs > 0 else 0.0)

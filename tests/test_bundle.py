@@ -1,20 +1,26 @@
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
+import bundlemf
 from bundlemf import (
+    KernelBasis,
     OneForm,
+    ProblemSpec,
     ScalarField,
     build_grid,
     bundle_energy,
     bundle_laplacian,
     exterior_derivative,
-    kernel_basis,
     l2_inner,
     laplacian,
     make_connection,
+    make_problem,
     poincare_constant,
     project_H1,
 )
@@ -48,6 +54,7 @@ from conftest import (
     df_connection,
     drop_nyquist,
     harmonic_connection,
+    ones_field,
     spy_pcg,
     traced_peak,
     zero_connection,
@@ -92,10 +99,10 @@ def dense_bundle_matrix(conn, grid) -> np.ndarray:
     return A * (w[:, None] / w[None, :])
 
 
-def solve_bundle_poisson(rhs, conn, grid, kb, tol=PCG_TOL, max_iter=PCG_MAX_ITER):
+def solve_bundle_poisson(rhs, conn, grid, tol=PCG_TOL, max_iter=PCG_MAX_ITER):
     """Solve (Delta_g + V) u = rhs on the complement of the kernel, for rhs
     L2(dv_g)-orthogonal to tau1; see `solve_symmetrized`."""
-    return ScalarField(solve_symmetrized(grid.exp2v * rhs.values, conn, grid, kb,
+    return ScalarField(solve_symmetrized(grid.exp2v * rhs.values, conn, grid,
                                          tol=tol, max_iter=max_iter))
 
 
@@ -137,21 +144,21 @@ def kernel_residual(kb, conn, grid):
 
 class TestKernelBasis:
     def test_zero_connection(self, grid64):
-        kb = kernel_basis(zero_connection(grid64), grid64)
+        kb = zero_connection(grid64).kernel
         assert kb.dim == 1
         # tau1 = |Sigma|^{-1/2} zeta, constant on the flat torus
         assert np.max(np.abs(kb.tau1.values - 1.0)) < 1e-12
 
     def test_zero_connection_conformal(self):
         g = build_grid(64, cos_x_field(64, 0.2))
-        kb = kernel_basis(zero_connection(g), g)
+        kb = zero_connection(g).kernel
         expected = g.total_area ** -0.5
         assert kb.dim == 1
         assert np.max(np.abs(kb.tau1.values - expected)) < 1e-12
 
     def test_exact_connection(self, grid64):
         conn = df_connection(grid64, 0.3)
-        kb = kernel_basis(conn, grid64)
+        kb = conn.kernel
         assert kb.dim == 1
         assert kernel_residual(kb, conn, grid64) <= 1e-8
         # tau1 proportional to e^{-f}, f gauged to zero mean
@@ -161,20 +168,20 @@ class TestKernelBasis:
         assert np.ptp(ratio) < 1e-10 * np.max(ratio)
 
     def test_unit_norm(self, grid64):
-        kb = kernel_basis(df_connection(grid64), grid64)
+        kb = df_connection(grid64).kernel
         assert l2_inner(kb.tau1, kb.tau1, grid64) == pytest.approx(1.0, abs=1e-10)
 
     def test_holonomy_obstruction(self, grid64):
-        kb = kernel_basis(harmonic_connection(grid64, 2 * np.pi, 0.0), grid64)
+        kb = harmonic_connection(grid64, 2 * np.pi, 0.0).kernel
         assert kb.dim == 0
         assert kb.tau1 is None
 
     def test_small_period_still_obstructs(self, grid64):
-        kb = kernel_basis(harmonic_connection(grid64, 0.5, 0.0), grid64)
+        kb = harmonic_connection(grid64, 0.5, 0.0).kernel
         assert kb.dim == 0
 
     def test_nonvanishing(self, grid64):
-        kb = kernel_basis(df_connection(grid64, 0.4), grid64)
+        kb = df_connection(grid64, 0.4).kernel
         assert np.min(np.abs(kb.tau1.values)) > 0.0
 
 
@@ -190,7 +197,7 @@ class TestKernelBasis:
         f = random_band_limited(grid, np.random.default_rng(seed), kmax=kmax,
                                 amplitude=amp).values
         df = exterior_derivative(ScalarField(f), grid)
-        kb = kernel_basis(make_connection(df, grid), grid)
+        kb = make_connection(df, grid).kernel
         assert kb.dim == 1
         gauged = primitive_reference(df, grid)
         assert np.max(np.abs(gauged - (f - f.mean()))) <= 1e-12 * max(1.0, amp)
@@ -199,7 +206,7 @@ class TestKernelBasis:
         assert np.max(np.abs(kb.tau1.values - tau)) <= 1e-12 * np.max(tau)
         a, b = (b, a) if swap else (a, b)
         harmonic = OneForm(df.c1 + a, df.c2 + b)
-        assert kernel_basis(make_connection(harmonic, grid), grid).dim == 0
+        assert make_connection(harmonic, grid).kernel.dim == 0
 
     @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
     @pytest.mark.parametrize("preset", ["zero", "harmonic:1,0.5", "exact:cos-x:0.3",
@@ -208,7 +215,7 @@ class TestKernelBasis:
         """make_connection's one transform of w gives the potential, the
         kernel dimension and tau1 of the separate routes it replaced
         (potential_reference, kernel_reference): V to 1e-13 relative, tau1
-        to 1e-14; kernel_basis returns the connection's own kernel."""
+        to 1e-14."""
         n = 64
         grid = build_grid(n, make_v_field(v, n) if v else None)
         if preset == "harmonic+exact":
@@ -220,60 +227,91 @@ class TestKernelBasis:
         ref = potential_reference(w, grid)
         assert np.max(np.abs(conn.potential.values - ref)) <= 1e-13 * np.max(np.abs(ref))
         dim, tau = kernel_reference(w, grid)
-        assert kernel_basis(conn, grid) is conn.kernel
         assert conn.kernel.dim == dim == (preset in ("zero", "exact:cos-x:0.3"))
         if dim:
             assert np.max(np.abs(conn.kernel.tau1.values - tau)) <= 1e-14 * np.max(tau)
 
 
+class TestKernelOwner:
+    def test_no_other_handle(self):
+        """The connection is the one way to the kernel: no spec field, no
+        accessor, no kernel or weights parameter on the solvers."""
+        assert "kb" not in {f.name for f in dataclasses.fields(ProblemSpec)}
+        assert not hasattr(bundlemf, "kernel_basis")
+        assert not hasattr(bundle, "kernel_basis")
+        for fn in (solve_symmetrized, smallest_eigenvalue, poincare_constant,
+                   KernelBasis.component, KernelBasis.project):
+            params = inspect.signature(fn).parameters.values()
+            assert not [q.name for q in params
+                        if q.name in ("kb", "kernel", "weights")
+                        or "KernelBasis" in str(q.annotation)], fn.__qualname__
+        assert list(inspect.signature(project_H1).parameters) == ["u", "kb"]
+
+    @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
+    def test_component_is_the_area_weighted_quotient(self, v):
+        """component(z) is <z, tau1> / <tau1, tau1> in L2(dv_g), bit for bit,
+        with the grid's own area element; <tau1, tau1> is summed on first
+        use, not when the connection is made."""
+        grid = build_grid(64, make_v_field(v, 64) if v else None)
+        kb = df_connection(grid).kernel
+        assert kb.area is grid.area_element
+        assert "_norm2" not in vars(kb)
+        t, area = kb.tau1.values, grid.area_element
+        z = random_band_limited(grid, np.random.default_rng(3)).values
+        assert kb.component(z) == np.sum(z * t * area) / np.sum(t * t * area)
+        assert "_norm2" in vars(kb)
+
+    def test_with_rho_keeps_the_kernel(self, grid32):
+        spec = make_problem(grid32, df_connection(grid32), ones_field(32), 5.0)
+        assert spec.with_rho(7.0).conn.kernel is spec.conn.kernel
+
+
 class TestProjection:
     def test_annihilates_kernel(self, grid64):
-        kb = kernel_basis(df_connection(grid64), grid64)
-        out = project_H1(kb.tau1, kb, grid64)
+        kb = df_connection(grid64).kernel
+        out = project_H1(kb.tau1, kb)
         assert np.max(np.abs(out.values)) < 1e-12
 
     def test_fixes_orthogonal_fields(self, grid64):
-        kb = kernel_basis(df_connection(grid64), grid64)
+        kb = df_connection(grid64).kernel
         rng = np.random.default_rng(2)
-        u = project_H1(random_band_limited(grid64, rng), kb, grid64)
-        again = project_H1(u, kb, grid64)
+        u = project_H1(random_band_limited(grid64, rng), kb)
+        again = project_H1(u, kb)
         assert np.max(np.abs(again.values - u.values)) < 1e-13
         assert abs(l2_inner(u, kb.tau1, grid64)) < 1e-12
 
     def test_zero_connection_is_mean_removal(self, grid64):
-        kb = kernel_basis(zero_connection(grid64), grid64)
+        kb = zero_connection(grid64).kernel
         rng = np.random.default_rng(4)
         u = random_band_limited(grid64, rng)
-        out = project_H1(u, kb, grid64)
+        out = project_H1(u, kb)
         expected = u.values - u.values.mean()
         assert np.max(np.abs(out.values - expected)) < 1e-12
 
     def test_dim0_is_identity(self, grid64):
-        kb = kernel_basis(harmonic_connection(grid64), grid64)
+        kb = harmonic_connection(grid64).kernel
         rng = np.random.default_rng(6)
         u = random_band_limited(grid64, rng)
-        assert project_H1(u, kb, grid64) is u
+        assert project_H1(u, kb) is u
 
     @given(kind=st.sampled_from(["zero", "exact", "harmonic"]), amp=st.floats(-1.0, 1.0),
            a=st.floats(0.5, 10.0), b=st.floats(-10.0, 10.0), conformal=st.booleans(),
-           weighted=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_kernel_basis_methods(self, grid32, kind, amp, a, b, conformal, weighted,
-                                  seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernel_basis_methods(self, grid32, kind, amp, a, b, conformal, seed):
         grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
         conn = (zero_connection(grid) if kind == "zero"
                 else df_connection(grid, amp) if kind == "exact"
                 else harmonic_connection(grid, a, b))
-        kb = kernel_basis(conn, grid)
-        w = grid.area_element if weighted else None
+        kb = conn.kernel
         z = random_band_limited(grid, np.random.default_rng(seed)).values
-        pz = kb.project(z, w)
+        pz = kb.project(z)
         if kb.dim == 0:
             assert pz is z
-            assert kb.component(z, w) == 0.0
+            assert kb.component(z) == 0.0
         else:
-            assert abs(kb.component(pz, w)) <= 1e-12
-            assert np.max(np.abs(kb.project(pz, w) - pz)) <= 1e-12
-            assert kb.component(kb.tau1.values, w) == pytest.approx(1.0, abs=1e-12)
+            assert abs(kb.component(pz)) <= 1e-12
+            assert np.max(np.abs(kb.project(pz) - pz)) <= 1e-12
+            assert kb.component(kb.tau1.values) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBundleOperators:
@@ -284,7 +322,7 @@ class TestBundleOperators:
 
     def test_kernel_has_zero_energy(self, grid64):
         conn = df_connection(grid64)
-        kb = kernel_basis(conn, grid64)
+        kb = conn.kernel
         assert bundle_energy(kb.tau1, conn, grid64) <= 1e-14
 
     def test_energy_matches_weak_form(self, grid64):
@@ -306,7 +344,7 @@ class TestBundleOperators:
 
     def test_annihilates_tau1(self, grid64):
         conn = df_connection(grid64)
-        kb = kernel_basis(conn, grid64)
+        kb = conn.kernel
         out = bundle_laplacian(kb.tau1, conn, grid64)
         assert np.max(np.abs(out.values)) < 1e-8
 
@@ -382,10 +420,9 @@ class TestPCG:
 
     def test_unconverged_poisson_solve_raises(self, grid32):
         conn = df_connection(grid32, 0.3)
-        kb = kernel_basis(conn, grid32)
-        rhs = project_H1(random_band_limited(grid32, np.random.default_rng(1)), kb, grid32)
+        rhs = project_H1(random_band_limited(grid32, np.random.default_rng(1)), conn.kernel)
         with pytest.raises(ConvergenceError):
-            solve_bundle_poisson(rhs, conn, grid32, kb, max_iter=1)
+            solve_bundle_poisson(rhs, conn, grid32, max_iter=1)
 
 
 class TestSpectralPCG:
@@ -422,14 +459,14 @@ class TestSpectralPCG:
         n = 16
         grid = build_grid(n, cos_x_field(n, 0.3) if conformal else None)
         conn = df_connection(grid) if kind == "exact" else harmonic_connection(grid, 1.0, 2.0)
-        kb = kernel_basis(conn, grid)
+        kb = conn.kernel
         assert kb.dim == (kind == "exact")
         b = random_band_limited(grid, np.random.default_rng(5)).values
         evals, B = np.linalg.eigh(_nyquist_projector(grid))
         for solve_grid, apply, Q in ((grid, folded_apply(conn, grid), B[:, evals > 0.5]),
                                      (grid.five_point, five_point_apply(conn, grid),
                                       np.eye(n * n))):
-            x = solve_symmetrized(b, conn, solve_grid, kb)
+            x = solve_symmetrized(b, conn, solve_grid)
             K = np.column_stack([apply(e.reshape(n, n)).ravel() for e in np.eye(n * n)])
             if kb.dim == 1:
                 Q = Q @ null_space((Q.T @ kb.tau1.values.ravel())[None, :])
@@ -440,14 +477,13 @@ class TestSpectralPCG:
         """On the grid and on its 5-point twin."""
         grid = build_grid(32, cos_x_field(32, 0.3))
         conn = df_connection(grid)
-        kb = kernel_basis(conn, grid)
         b = random_band_limited(grid, np.random.default_rng(6)).values
         calls = count_fft_calls(monkeypatch)
         infos = spy_pcg(monkeypatch, bundle)
         for solve_grid in (grid, grid.five_point):
             calls.clear()
             infos.clear()
-            solve_symmetrized(b, conn, solve_grid, kb)
+            solve_symmetrized(b, conn, solve_grid)
             assert len(infos) == 1 and infos[0].iterations > 0
             assert len(calls) <= 2 * infos[0].iterations + 3
 
@@ -459,9 +495,8 @@ class TestSpectralPCG:
         n = 256
         grid = build_grid(n)
         conn = df_connection(grid)
-        kb = kernel_basis(conn, grid)
         b = random_band_limited(grid, np.random.default_rng(7)).values
-        peak = traced_peak(lambda: solve_symmetrized(b.copy(), conn, grid, kb))
+        peak = traced_peak(lambda: solve_symmetrized(b.copy(), conn, grid))
         assert peak <= 6 * 16 * n * (n // 2 + 1)
 
 
@@ -482,19 +517,17 @@ class TestPoincare:
                                 (rough, lambda g: harmonic_connection(g, 1.0, 2.0), 0)):
             grid = build_grid(32, v)
             conn = conn_of(grid)
-            kb = kernel_basis(conn, grid)
-            assert kb.dim == dim
-            lam, _ = smallest_eigenvalue(conn, grid, kb)
+            assert conn.kernel.dim == dim
+            lam, _ = smallest_eigenvalue(conn, grid)
             assert lam > 0.0
-            ref = _restricted_oracle(conn, grid, kb)
+            ref = _restricted_oracle(conn, grid)
             assert abs(lam - ref) < 1e-10 * max(1.0, ref)
 
     def test_unconverged_eigensolve_raises(self, grid32):
         conn = df_connection(grid32, 0.3)
-        kb = kernel_basis(conn, grid32)
         with pytest.raises(EigensolveError,
                           match=r"max_iter after 2 steps at relative residual \d"):
-            smallest_eigenvalue(conn, grid32, kb, max_iter=2)
+            smallest_eigenvalue(conn, grid32, max_iter=2)
 
     @given(a=st.floats(0.5, 10.0), b=st.floats(-10.0, 10.0),
            amp=st.floats(-1.0, 1.0), harmonic=st.booleans(),
@@ -502,8 +535,8 @@ class TestPoincare:
     def test_eigenpair_properties(self, grid32, a, b, amp, harmonic, seed):
         conn = (harmonic_connection(grid32, a, b) if harmonic
                 else df_connection(grid32, amp))
-        kb = kernel_basis(conn, grid32)
-        lam, x = smallest_eigenvalue(conn, grid32, kb, seed=seed)
+        kb = conn.kernel
+        lam, x = smallest_eigenvalue(conn, grid32, seed=seed)
         scale = np.max(np.abs(x.values))
         assert np.max(np.abs(drop_nyquist(x.values, grid32) - x.values)) <= 1e-12 * scale
         if kb.dim == 1:
@@ -522,12 +555,11 @@ class TestPoincare:
         the eigenvector back once."""
         grid = build_grid(32, make_v_field(v, 32) if v else None)
         conn = df_connection(grid)
-        kb = kernel_basis(conn, grid)
         applies = []
         monkeypatch.setattr(bundle, "spectral_laplacian_plus",
                             lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
         calls = count_fft_calls(monkeypatch)
-        smallest_eigenvalue(conn, grid, kb)
+        smallest_eigenvalue(conn, grid)
         assert len(applies) > 1
         assert len(calls) <= per_step * len(applies) + 4
 
@@ -538,28 +570,25 @@ class TestPoincare:
         n = 128
         grid = build_grid(n)
         conn = df_connection(grid)
-        kb = kernel_basis(conn, grid)
-        peak = traced_peak(lambda: smallest_eigenvalue(conn, grid, kb))
+        peak = traced_peak(lambda: smallest_eigenvalue(conn, grid))
         assert peak <= 10 * 8 * n * n
 
     @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
     def test_unit_eigenvector(self, v):
         grid = build_grid(32, make_v_field(v, 32) if v else None)
         conn = df_connection(grid)
-        kb = kernel_basis(conn, grid)
-        _, x = smallest_eigenvalue(conn, grid, kb)
+        _, x = smallest_eigenvalue(conn, grid)
         assert abs(l2_inner(x, x, grid) - 1.0) <= 1e-12
 
     def test_no_kernel_ffts(self, monkeypatch, grid32):
-        """Without kb, poincare_constant reads the connection's kernel: it
-        spends the FFTs of the eigen-solve with kb given, and no more."""
+        """poincare_constant reads the connection's kernel: it spends the
+        FFTs of the eigen-solve, and no more."""
         calls = count_fft_calls(monkeypatch)
         spent = []
-        for given_kb in (False, True):
+        for solve in (poincare_constant, smallest_eigenvalue):
             conn = df_connection(grid32)    # fresh: tau1's transforms not cached
-            kb = kernel_basis(conn, grid32) if given_kb else None
             calls.clear()
-            poincare_constant(conn, grid32, kb)
+            solve(conn, grid32)
             spent.append(len(calls))
         assert spent[0] == spent[1]
 
@@ -573,11 +602,10 @@ class TestPoincare:
 
     def test_inequality_on_random_samples(self, grid64):
         conn = df_connection(grid64, 0.3)
-        kb = kernel_basis(conn, grid64)
-        C = poincare_constant(conn, grid64, kb)
+        C = poincare_constant(conn, grid64)
         rng = np.random.default_rng(21)
         for _ in range(200):
-            u = project_H1(random_band_limited(grid64, rng, kmax=10), kb, grid64)
+            u = project_H1(random_band_limited(grid64, rng, kmax=10), conn.kernel)
             assert l2_inner(u, u, grid64) <= C * bundle_energy(u, conn, grid64) * (1 + 1e-10)
 
 
@@ -591,15 +619,15 @@ def _nyquist_projector(grid):
     return cols
 
 
-def _restricted_oracle(conn, grid, kb):
+def _restricted_oracle(conn, grid):
     """Smallest eigenvalue of the symmetrized dense bundle matrix on an
     orthonormal basis of W^{1/2} (Nyquist-free fields), W the area weights,
     with W^{1/2} tau1 removed.  Unlike F A F it holds on conformal metrics."""
     evals, B = np.linalg.eigh(_nyquist_projector(grid))
     w = np.sqrt(grid.area_element.ravel())
     Q, _ = np.linalg.qr(w[:, None] * B[:, evals > 0.5])
-    if kb.dim == 1:
-        Q = Q @ null_space((Q.T @ (w * kb.tau1.values.ravel()))[None, :])
+    if conn.kernel.dim == 1:
+        Q = Q @ null_space((Q.T @ (w * conn.kernel.tau1.values.ravel()))[None, :])
     M = Q.T @ dense_bundle_matrix(conn, grid) @ Q
     return np.linalg.eigvalsh(0.5 * (M + M.T))[0]
 
@@ -609,9 +637,8 @@ class TestKernelDichotomy:
                                        harmonic_connection])
     def test_single_near_zero_eigenvalue(self, grid32, maker):
         conn = maker(grid32)
-        kb = kernel_basis(conn, grid32)
-        assert kb.dim in (0, 1)
-        lam, _ = smallest_eigenvalue(conn, grid32, kb)
+        assert conn.kernel.dim in (0, 1)
+        lam, _ = smallest_eigenvalue(conn, grid32)
         # after deflating the at-most-one kernel direction, a clear gap
         assert lam >= 0.1
 

@@ -105,7 +105,7 @@ class TestResidual:
         mu = integrate(ScalarField(spec.hweight.values * np.exp(u.values)), g)
         density = ScalarField(spec.hweight.values * np.exp(u.values) / mu
                               - 1.0 / g.total_area)
-        lam_quad = spec.rho * l2_inner(density, spec.kb.tau1, g)
+        lam_quad = spec.rho * l2_inner(density, spec.conn.kernel.tau1, g)
         assert abs(lam_proj - lam_quad) < 1e-10 * max(1.0, abs(lam_quad))
 
     @pytest.mark.parametrize("exact", [False, True], ids=["harmonic", "exact"])
@@ -121,9 +121,9 @@ class TestResidual:
         spec = df_problem64
         g = spec.grid
         rng = np.random.default_rng(29)
-        u = project_H1(random_band_limited(g, rng, amplitude=0.5), spec.kb, g)
+        u = project_H1(random_band_limited(g, rng, amplitude=0.5), spec.conn.kernel)
         for _ in range(3):
-            phi = project_H1(random_band_limited(g, rng), spec.kb, g)
+            phi = project_H1(random_band_limited(g, rng), spec.conn.kernel)
             r, _ = el_residual(u, spec)
             pairing = l2_inner(r, phi, g)
             eps = 1e-6
@@ -157,7 +157,7 @@ class TestMinimize:
         rng = np.random.default_rng(37)
         for _ in range(100):
             phi = project_H1(random_band_limited(flat_problem64.grid, rng),
-                             flat_problem64.kb, flat_problem64.grid)
+                             flat_problem64.conn.kernel)
             probe = ScalarField(res.u.values + 1e-3 * phi.values)
             assert evaluate_J(probe, flat_problem64) >= res.jvalue - 1e-12
 
@@ -173,7 +173,7 @@ class TestMinimize:
         full = (bundle_laplacian(res.u, spec.conn, g).values
                 - spec.rho * (spec.hweight.values * np.exp(res.u.values) / res.mu
                               - 1.0 / g.total_area)
-                + res.lambda1 * spec.kb.tau1.values)
+                + res.lambda1 * spec.conn.kernel.tau1.values)
         assert l2_norm(full, g) <= 1e-7
 
     def test_nonuniform_weight_descends(self, grid64):
@@ -192,7 +192,7 @@ class TestMinimize:
     def test_descent_from_init(self, df_problem64):
         rng = np.random.default_rng(43)
         init = project_H1(random_band_limited(df_problem64.grid, rng, amplitude=0.8),
-                          df_problem64.kb, df_problem64.grid)
+                          df_problem64.conn.kernel)
         res = minimize(df_problem64, init, SolverOptions(tol=1e-11))
         assert res.jvalue <= evaluate_J(init, df_problem64) + 1e-12
 
@@ -200,7 +200,7 @@ class TestMinimize:
         rng = np.random.default_rng(47)
         init = random_band_limited(df_problem64.grid, rng, amplitude=0.5)
         res = minimize(df_problem64, init, SolverOptions(tol=1e-11))
-        assert abs(l2_inner(res.u, df_problem64.kb.tau1, df_problem64.grid)) <= 1e-10
+        assert abs(l2_inner(res.u, df_problem64.conn.kernel.tau1, df_problem64.grid)) <= 1e-10
 
     def test_trivial_kernel_branch(self, grid64):
         # holonomy-obstructed connection: no multiplier, no projection
@@ -208,7 +208,7 @@ class TestMinimize:
 
         h = ScalarField(np.exp(cos_x_field(64, 1.0).values))
         spec = make_problem(grid64, harmonic_connection(grid64), h, 4 * np.pi)
-        assert spec.kb.dim == 0
+        assert spec.conn.kernel.dim == 0
         res = minimize(spec, opts=SolverOptions(tol=1e-11))
         assert res.converged
         assert res.residual <= 1e-8
@@ -241,9 +241,9 @@ class TestMinimize:
 
 def tau1_projection(spec):
     """The L2(dv_g) projection off tau1 that `minimize` hands to the Newton step."""
-    if spec.kb.dim == 0:
+    if spec.conn.kernel.dim == 0:
         return lambda z: z
-    t1 = spec.kb.tau1.values
+    t1 = spec.conn.kernel.tau1.values
     area = spec.grid.area_element
     return lambda z: z - np.sum(z * t1 * area) * t1
 
@@ -257,14 +257,14 @@ def newton_step(u, r, spec):
     Nyquist-free residual r: its right-hand side is minus the deflated
     transform of e^{2v} r, the R of functional._state."""
     g = spec.grid
-    B = spec.kb.deflation(g, along_weighted=True)(to_spectral(-r * g.exp2v, g))
+    B = spec.conn.kernel.deflation(g, along_weighted=True)(to_spectral(-r * g.exp2v, g))
     return from_spectral(_newton_direction(u, B, spec), g)
 
 
 def start_coefficients(init, spec):
     """The coefficients minimize starts from: Nyquist-free, off tau1."""
     g = spec.grid
-    return spec.kb.deflation(g, against_weighted=True)(to_spectral(init.values, g))
+    return spec.conn.kernel.deflation(g, against_weighted=True)(to_spectral(init.values, g))
 
 
 def physical_newton_direction(u, r, spec, project):
@@ -318,7 +318,7 @@ class TestNewtonDirection:
                             lambda Z, spec: trials.append(Z.copy()) or state(Z, spec))
         with pytest.warns(RuntimeWarning):
             minimize(spec, init, SolverOptions(max_iter=1))
-        D = -spec.kb.deflation(g, against_weighted=True)(g.shifted_inverse * R)
+        D = -spec.conn.kernel.deflation(g, against_weighted=True)(g.shifted_inverse * R)
         assert np.array_equal(trials[0], U)
         assert np.array_equal(trials[1], U + 1.0 * D)
 
@@ -343,8 +343,8 @@ class TestNewtonDirection:
         d = newton_step(u, r, spec)
         dnorm = l2_norm(d, g)
         assert np.sum(r * d * g.area_element) < 0.0
-        if spec.kb.dim == 1:
-            assert abs(np.sum(d * spec.kb.tau1.values * g.area_element)) <= 1e-10 * dnorm
+        if spec.conn.kernel.dim == 1:
+            assert abs(np.sum(d * spec.conn.kernel.tau1.values * g.area_element)) <= 1e-10 * dnorm
         assert np.max(np.abs(drop_nyquist(d, g) - d)) <= 1e-12 * np.max(np.abs(d))
 
     @pytest.mark.parametrize("conn, rel", [("zero", 1e-12), ("exact", 1e-12),
@@ -443,7 +443,7 @@ class TestCoercivityProbe:
         rng = np.random.default_rng(61)
         worst = np.inf
         for _ in range(400):
-            u = project_H1(random_band_limited(g, rng, kmax=8), spec.kb, g)
+            u = project_H1(random_band_limited(g, rng, kmax=8), spec.conn.kernel)
             e = bundle_energy(u, spec.conn, g)
             if e > 1e-12:
                 u = ScalarField(u.values / max(1.0, np.sqrt(e)))

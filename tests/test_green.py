@@ -68,7 +68,7 @@ class TestFlatCase:
         assert gd128.residual <= 1e-8
 
     def test_orthogonality(self, spec128, gd128):
-        assert abs(l2_inner(gd128.G, spec128.kb.tau1, spec128.grid)) <= 1e-8
+        assert abs(l2_inner(gd128.G, spec128.conn.kernel.tau1, spec128.grid)) <= 1e-8
 
     def test_mean_matches_integrate(self, spec128, gd128):
         assert gd128.meanG == pytest.approx(integrate(gd128.G, spec128.grid), abs=1e-12)
@@ -106,7 +106,7 @@ class TestBackends:
         gd_s = solve_green((5, 7), spec)
         gd_f = solve_green((5, 7), spec, backend="fd")
         assert abs(gd_s.A_p - gd_f.A_p) <= 0.01 * abs(gd_s.A_p)
-        assert abs(l2_inner(gd_s.G, spec.kb.tau1, g)) <= 1e-8
+        assert abs(l2_inner(gd_s.G, spec.conn.kernel.tau1, g)) <= 1e-8
 
     def test_conformal_with_connection(self):
         # conformal factor and exact connection together: both backends, the
@@ -118,8 +118,8 @@ class TestBackends:
         gd_fd = solve_green((31, 77), spec, backend="fd")
         assert gd.residual <= 1e-8
         assert abs(gd.A_p - gd_fd.A_p) <= 0.01 * abs(gd.A_p)
-        assert abs(l2_inner(gd.G, spec.kb.tau1, g)) <= 1e-8
-        t1 = spec.kb.tau1
+        assert abs(l2_inner(gd.G, spec.conn.kernel.tau1, g)) <= 1e-8
+        t1 = spec.conn.kernel.tau1
         expected = 8 * np.pi * (t1.values[31, 77]
                                 - integrate(t1, g) / g.total_area)
         assert gd.lambda1 == pytest.approx(expected, abs=1e-10)
@@ -134,7 +134,7 @@ class TestBackends:
         twin = g.five_point
         solve_green((9, 3), spec, backend="fd")
         assert g.five_point is twin
-        held = [key for key, (grid, _) in spec.kb._spectra.items() if grid is twin]
+        held = [key for key, (grid, _) in spec.conn.kernel._spectra.items() if grid is twin]
         assert held == [(id(twin), False)]
 
     def test_unknown_backend(self, spec128):
@@ -212,7 +212,7 @@ class TestDistributional:
                 i, j = gd.p
                 rhs = (8 * np.pi * (phi.values[i, j]
                                     - integrate(phi, g) / g.total_area)
-                       - gd.lambda1 * l2_inner(spec.kb.tau1, phi, g))
+                       - gd.lambda1 * l2_inner(spec.conn.kernel.tau1, phi, g))
                 strong = float(np.max(np.abs(lap_phi.values)))
                 bound = 2.0 * g.h**2 * (1 + abs(np.log(g.h))) * strong
                 worst = max(worst, abs(lhs - rhs) / bound)
@@ -225,7 +225,7 @@ class TestDistributional:
         g = build_grid(n)
         spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
         gd = solve_green((11, 40), spec)
-        t1 = spec.kb.tau1
+        t1 = spec.conn.kernel.tau1
         expected = 8 * np.pi * (t1.values[11, 40]
                                 - integrate(t1, g) / g.total_area)
         assert abs(gd.lambda1 - expected) <= 1e-10 * max(1.0, abs(expected))

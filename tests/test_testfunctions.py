@@ -78,7 +78,7 @@ class TestMoser:
 
     def test_projected_membership(self, flat_problem64):
         u = moser_family((32, 32), 0.125, 16, flat_problem64)
-        assert abs(l2_inner(u, flat_problem64.kb.tau1,
+        assert abs(l2_inner(u, flat_problem64.conn.kernel.tau1,
                             flat_problem64.grid)) <= 1e-12
 
     def test_energy_near_unit(self):
@@ -154,7 +154,7 @@ def spec256():
 class TestQk:
     def test_membership_and_continuity(self, spec256):
         fam = build_Qk((0, 0), 32, spec256)
-        assert abs(l2_inner(fam.field, spec256.kb.tau1, spec256.grid)) <= 1e-10
+        assert abs(l2_inner(fam.field, spec256.conn.kernel.tau1, spec256.grid)) <= 1e-10
         rep = qk_audit(fam, spec256)
         assert rep["interface_jump"] <= 0.2
 
@@ -235,8 +235,8 @@ class TestQkInPlace:
         spec, g = exact_spec256, exact_spec256.grid
         fam = build_Qk(p, k, spec)
         q = unprojected_qk(fam, spec)
-        assert np.array_equal(fam.field.values, spec.kb.project(q, g.area_element))
-        assert fam.shift == spec.kb.component(q, g.area_element)
+        assert np.array_equal(fam.field.values, spec.conn.kernel.project(q))
+        assert fam.shift == spec.conn.kernel.component(q)
 
         mask = torus_distance(g, fam.p) <= fam.R / fam.k
         ux = (np.roll(q, -1, 0) - q) / g.h
