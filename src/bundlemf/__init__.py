@@ -20,7 +20,6 @@ from .functional import (
     SolverOptions,
     el_residual,
     evaluate_J,
-    make_problem,
     minimize,
 )
 from .geometry import (
@@ -52,7 +51,7 @@ __all__ = [
     "Connection", "KernelBasis", "bundle_energy", "bundle_laplacian",
     "make_connection", "poincare_constant", "project_H1",
     "ExponentOverflowError", "MinimizeResult", "ProblemSpec", "SolverOptions",
-    "el_residual", "evaluate_J", "make_problem", "minimize",
+    "el_residual", "evaluate_J", "minimize",
     "OneForm", "ScalarField", "TorusGrid", "build_grid", "codifferential",
     "exterior_derivative", "integrate", "l2_inner", "laplacian", "oneform_inner",
     "GreenData", "SolvabilityError", "critical_value", "critical_value_map",

@@ -107,15 +107,13 @@ class KernelBasis:
 
 @dataclass(frozen=True)
 class Connection:
-    """Connection form w, its potential V = |w|^2_g + d* w and its kernel."""
+    """Connection form w, its potential V = |w|^2_g + d* w and its kernel,
+    all computed with the metric of `grid`, which every solver reads."""
 
     omega: OneForm
     potential: ScalarField
     kernel: KernelBasis
-
-    @property
-    def n(self) -> int:
-        return self.omega.n
+    grid: TorusGrid = field(repr=False, compare=False)
 
 
 def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
@@ -135,7 +133,7 @@ def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
         tau = np.exp(-next(calculus))
         tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
         kernel = KernelBasis(dim=1, tau1=ScalarField(tau), area=grid.area_element)
-    return Connection(omega=omega, potential=ScalarField(pot), kernel=kernel)
+    return Connection(omega=omega, potential=ScalarField(pot), kernel=kernel, grid=grid)
 
 
 def project_H1(u: ScalarField, kb: KernelBasis) -> ScalarField:
@@ -143,27 +141,27 @@ def project_H1(u: ScalarField, kb: KernelBasis) -> ScalarField:
     return u if kb.dim == 0 else ScalarField(kb.project(u.values))
 
 
-def bundle_energy(u: ScalarField, conn: Connection, grid: TorusGrid) -> float:
+def bundle_energy(u: ScalarField, conn: Connection) -> float:
     """Covariant Dirichlet energy  int |du + u w|^2_g dv_g  >= 0, one
     component at a time, squared and summed in place."""
-    density, comps = 0.0, partial_derivatives(u.values, grid)
+    density, comps = 0.0, partial_derivatives(u.values, conn.grid)
     for w in (conn.omega.c1, conn.omega.c2):
         d = next(comps)
         d += u.values * w
         density += d * d
         del d
-    return float(np.sum(density) * grid.h**2)
+    return float(np.sum(density) * conn.grid.h**2)
 
 
-def bundle_laplacian_raw(u: np.ndarray, conn: Connection, grid: TorusGrid) -> np.ndarray:
+def bundle_laplacian_raw(u: np.ndarray, conn: Connection) -> np.ndarray:
     """Delta_g u + V u on a raw array, the frame-coefficient form of the
     bundle Laplacian."""
-    return flat_laplacian_raw(u, grid) / grid.exp2v + conn.potential.values * u
+    return flat_laplacian_raw(u, conn.grid) / conn.grid.exp2v + conn.potential.values * u
 
 
-def bundle_laplacian(u: ScalarField, conn: Connection, grid: TorusGrid) -> ScalarField:
+def bundle_laplacian(u: ScalarField, conn: Connection) -> ScalarField:
     """`bundle_laplacian_raw` on a field."""
-    return ScalarField(bundle_laplacian_raw(u.values, conn, grid))
+    return ScalarField(bundle_laplacian_raw(u.values, conn))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +254,8 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
     complement: directly when V = 0, else by PCG in Fourier space (Boyd,
     Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15); raises
-    ConvergenceError short of tol.
+    ConvergenceError short of tol.  `grid` picks the discretization:
+    conn.grid, or its 5-point twin conn.grid.five_point.
 
     The Krylov vectors are rfft2 coefficients masked by grid.mask (all ones
     on the 5-point twin grid.five_point, whose symbol grid.k2 is positive on
@@ -292,15 +291,17 @@ EIG_DEPENDENT = 1e-8    # share of a vector left by Gram-Schmidt below which it 
 def poincare_constant(conn: Connection, grid: TorusGrid, seed: int = 0,
                       tol: float = EIG_TOL, max_iter: int = 500) -> float:
     """1 / lambda_min of the bundle Laplacian on the discrete complement of
-    the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`."""
-    lam, _ = smallest_eigenvalue(conn, grid, seed=seed, tol=tol, max_iter=max_iter)
+    the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`.
+    `grid` must be conn.grid itself: a connection holds one metric."""
+    if grid is not conn.grid:
+        raise ValueError("grid is not the connection's grid")
+    lam, _ = smallest_eigenvalue(conn, seed=seed, tol=tol, max_iter=max_iter)
     if lam <= 0.0:
         raise EigensolveError(f"nonpositive smallest eigenvalue {lam}")
     return 1.0 / lam
 
 
-def smallest_eigenvalue(conn: Connection, grid: TorusGrid, seed: int = 0,
-                        tol: float = EIG_TOL,
+def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
                         max_iter: int = 500) -> tuple[float, ScalarField]:
     """Smallest eigenvalue of Delta_g + V on the Nyquist-free fields
     L2(dv_g)-orthogonal to the kernel, and its unit eigenvector.
@@ -325,6 +326,7 @@ def smallest_eigenvalue(conn: Connection, grid: TorusGrid, seed: int = 0,
     new low in EIG_STALL_STEPS steps), the step count and the final relative
     residual; it never returns a pair short of tol.
     """
+    grid = conn.grid
     V, n2, inner = conn.potential.values, grid.n**2, grid.inner
     deflate = conn.kernel.deflation(grid, against_weighted=True)
     conformal = grid.v.values.any()

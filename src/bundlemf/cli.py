@@ -28,11 +28,10 @@ from .functional import (
     SolverOptions,
     evaluate_J,
     log_mass,
-    make_problem,
     minimize,
 )
 from .geometry import build_grid, integrate, l2_inner, laplacian, random_band_limited
-from .green import SolvabilityError, critical_value, critical_value_map, solve_green
+from .green import BACKENDS, SolvabilityError, critical_value, critical_value_map, solve_green
 from .presets import (
     make_connection_form,
     make_h_field,
@@ -78,7 +77,6 @@ class RunConfig:
 
 
 _CONFIG_KEYS = {f.name for f in RunConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-BACKENDS = ("spectral", "fd")
 
 
 def _is_int(x) -> bool:
@@ -138,7 +136,7 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
             hweight = make_h_field(cfg.h_preset, cfg.n)
             preset = cfg.connection          # the kernel basis exponentiates it
             conn = make_connection(make_connection_form(cfg.connection, grid), grid)
-            return make_problem(grid, conn, hweight, cfg.rho)
+            return ProblemSpec(conn, hweight, cfg.rho)
     except FloatingPointError as exc:
         raise UsageError(f"preset {preset!r} leaves the floating-point range: {exc}") from exc
     except (ValueError, OSError) as exc:
@@ -287,7 +285,7 @@ def cmd_moser(cfg: RunConfig, outdir) -> dict:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         k *= 2
-    values = tm_probe(cfg.alpha, members, spec.conn, spec.grid)
+    values = tm_probe(cfg.alpha, members, spec.conn)
     rows = ["k,value"] + [f"{kk},{val:.17g}" for kk, val in zip(ks, values)]
     (outdir / "moser_probe.csv").write_text("\n".join(rows) + "\n")
     finite = [v for v in values if np.isfinite(v)]

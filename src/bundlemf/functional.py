@@ -53,26 +53,25 @@ class ExponentOverflowError(FloatingPointError):
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full variational problem instance: grid, connection, weight, parameter."""
+    """Full variational problem instance: connection (on its grid), weight, parameter."""
 
-    grid: TorusGrid
     conn: Connection
     hweight: ScalarField
     rho: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rho", float(self.rho))
         if self.hweight.values.min() <= 0.0:
             raise ValueError("weight h must be strictly positive")
-        if self.hweight.n != self.grid.n or self.conn.n != self.grid.n:
-            raise ValueError("problem fields must match the grid size")
+        if self.hweight.n != self.grid.n:
+            raise ValueError("the weight h must match the grid size")
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.conn.grid
 
     def with_rho(self, rho: float) -> "ProblemSpec":
-        return replace(self, rho=float(rho))
-
-
-def make_problem(grid: TorusGrid, conn: Connection, hweight: ScalarField,
-                 rho: float) -> ProblemSpec:
-    return ProblemSpec(grid=grid, conn=conn, hweight=hweight, rho=float(rho))
+        return replace(self, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -114,20 +113,18 @@ def evaluate_J(u: ScalarField, spec: ProblemSpec, energy: float | None = None) -
     _guard(u.values)
     g = spec.grid
     if energy is None:
-        energy = bundle_energy(u, spec.conn, g)
+        energy = bundle_energy(u, spec.conn)
     mean_term = spec.rho / g.total_area * float(np.sum(u.values * g.area_element))
     log_mu, _, _ = log_mass(u.values, spec)
     return 0.5 * energy + mean_term - spec.rho * log_mu
 
 
-def _raw_residual(u: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float]:
-    """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|), plus log mu."""
-    g = spec.grid
-    lap = bundle_laplacian_raw(u, spec.conn, g)
+def _raw_residual(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|)."""
+    lap = bundle_laplacian_raw(u, spec.conn)
     log_mu, shift, w = log_mass(u, spec)
     density = w * np.exp(shift - log_mu)  # h e^u / mu, evaluated stably
-    r = lap - spec.rho * (density - 1.0 / g.total_area)
-    return r, log_mu
+    return lap - spec.rho * (density - 1.0 / spec.grid.total_area)
 
 
 def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
@@ -139,9 +136,11 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     """
     _guard(u.values)
     kb = spec.conn.kernel
-    r, _ = _raw_residual(u.values, spec)
+    r = _raw_residual(u.values, spec)
     coef = kb.component(r)
-    return ScalarField(kb.project(r)), 0.0 - coef   # never -0.0
+    if kb.dim == 1:
+        r -= coef * kb.tau1.values
+    return ScalarField(r), 0.0 - coef   # never -0.0
 
 
 def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
@@ -149,8 +148,7 @@ def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
     residual built; 0.0 at once when the kernel is trivial."""
     if spec.conn.kernel.dim == 0:
         return 0.0
-    r, _ = _raw_residual(u, spec)
-    return 0.0 - spec.conn.kernel.component(r)
+    return 0.0 - spec.conn.kernel.component(_raw_residual(u, spec))
 
 
 def minimize(spec: ProblemSpec, init: ScalarField | None = None,
@@ -234,7 +232,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     if not converged and best[0] < rnorm:
         rnorm, u = best
     uf = ScalarField(u)
-    energy = bundle_energy(uf, spec.conn, g)
+    energy = bundle_energy(uf, spec.conn)
     return MinimizeResult(u=uf, jvalue=evaluate_J(uf, spec, energy),
                           mu=float(np.exp(log_mass(u, spec)[0])),
                           lambda1=kernel_multiplier(u, spec),

@@ -29,6 +29,7 @@ from .bundle import solve_symmetrized
 from .functional import ProblemSpec
 from .geometry import ScalarField, torus_distance
 
+BACKENDS = ("spectral", "fd")   # the two discretizations of the smooth solve
 CUTOFF_RADIUS = 0.125
 CUTOFF_ORDER = 8  # smoothness class of the radial ramp
 
@@ -145,7 +146,7 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     if float(p[0]) != int(p[0]) or float(p[1]) != int(p[1]):
         raise ValueError(f"p must be a grid node (integer pair), got {p}")
     i, j = int(p[0]) % g.n, int(p[1]) % g.n
-    if backend not in ("spectral", "fd"):
+    if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
 
     r = torus_distance(g, (i, j))

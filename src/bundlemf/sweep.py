@@ -62,7 +62,7 @@ def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
     them on the same u and rho by the same code."""
     if res is None:
         spec_rho = spec.with_rho(rho)
-        energy = bundle_energy(u, spec.conn, spec.grid)
+        energy = bundle_energy(u, spec.conn)
         lam1 = kernel_multiplier(u.values, spec_rho)
         jvalue, mu, solve = evaluate_J(u, spec_rho, energy), None, {}
     else:

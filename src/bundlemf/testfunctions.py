@@ -82,8 +82,9 @@ def moser_profile(z, delta: float, k: int, grid: TorusGrid) -> ScalarField:
     log ramp on the annulus, zero outside B_delta(z); unit Dirichlet energy
     in the continuum.
     """
-    if delta > 0.25:
-        raise ValueError(f"delta = {delta} too large for the unit torus (need <= 1/4)")
+    if not 0.0 < delta <= 0.25:
+        raise ValueError(f"delta = {delta} outside (0, 1/4]: the Moser ball must be"
+                         " nonempty and inside the unit torus")
     if k < 2:
         raise ValueError("k must be at least 2")
     r = torus_distance(grid, z)
@@ -102,18 +103,18 @@ def moser_family(z, delta: float, k: int, spec: ProblemSpec) -> ScalarField:
     return project_H1(u, spec.conn.kernel)
 
 
-def tm_probe(alpha: float, family, conn, grid: TorusGrid) -> list[float]:
+def tm_probe(alpha: float, family, conn) -> list[float]:
     """int e^{alpha u^2} dv_g per member, each rescaled to unit bundle energy.
 
     A member whose rescaled exponent exceeds the overflow guard is reported
     as diverged (inf), which is a valid finding above the 4 pi threshold.
     """
-    out = []
+    grid, out = conn.grid, []
     for u in family:
         if alpha == 0.0:
             out.append(grid.total_area)
             continue
-        e = bundle_energy(u, conn, grid)
+        e = bundle_energy(u, conn)
         if e <= 0.0:
             raise ValueError("cannot rescale a zero-energy member")
         un = u.values / np.sqrt(e)
@@ -126,7 +127,7 @@ def tm_probe(alpha: float, family, conn, grid: TorusGrid) -> list[float]:
 
 
 def plateau_integral(alpha: float, u: ScalarField, z, delta: float, k: int,
-                     conn, grid: TorusGrid, exact_area: bool = False) -> float:
+                     conn, exact_area: bool = False) -> float:
     """int_{B_{delta/sqrt k}(z)} e^{alpha u^2} dv_g after unit-energy rescaling.
 
     This is the quantity whose growth in k carries the k^{alpha/4pi - 1}
@@ -135,7 +136,7 @@ def plateau_integral(alpha: float, u: ScalarField, z, delta: float, k: int,
     noise once the ball shrinks to a few spacings) is replaced by the exact
     ball area times the measured plateau value.
     """
-    e = bundle_energy(u, conn, grid)
+    grid, e = conn.grid, bundle_energy(u, conn)
     un = u.values / np.sqrt(e)
     if exact_area:
         i, j = int(z[0]) % grid.n, int(z[1]) % grid.n
@@ -290,7 +291,7 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     gd = fam.greendata
     spec8 = spec.with_rho(8.0 * np.pi)
 
-    energy = bundle_energy(fam.field, spec.conn, g)
+    energy = bundle_energy(fam.field, spec.conn)
     energy_closed = qk_energy_closed(fam.k, gd, spec)
 
     logint = log_mass(fam.field.values, spec)[0]

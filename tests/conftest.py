@@ -11,11 +11,11 @@ from hypothesis import settings
 import bundlemf
 from bundlemf import (
     OneForm,
+    ProblemSpec,
     ScalarField,
     build_grid,
     exterior_derivative,
     make_connection,
-    make_problem,
 )
 
 # deterministic property tests: the same examples on every run (no replay of
@@ -115,13 +115,13 @@ def grid64():
 @pytest.fixture(scope="session")
 def flat_problem64(grid64):
     conn = zero_connection(grid64)
-    return make_problem(grid64, conn, ones_field(64), 4 * np.pi)
+    return ProblemSpec(conn, ones_field(64), 4 * np.pi)
 
 
 @pytest.fixture(scope="session")
 def df_problem64(grid64):
     conn = df_connection(grid64)
-    return make_problem(grid64, conn, ones_field(64), 4 * np.pi)
+    return ProblemSpec(conn, ones_field(64), 4 * np.pi)
 
 
 def fresh_python(*args, timeout=120):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 
 from bundlemf import (
+    ProblemSpec,
     ScalarField,
     SolverOptions,
     bundle_energy,
@@ -15,7 +16,6 @@ from bundlemf import (
     integrate,
     l2_inner,
     laplacian,
-    make_problem,
     minimize,
     moser_family,
     poincare_constant,
@@ -51,7 +51,7 @@ def check(lines, ok, label, detail):
 
 def flat_spec(n, rho=8 * np.pi):
     g = build_grid(n)
-    return make_problem(g, zero_connection(g), ones_field(n), rho)
+    return ProblemSpec(zero_connection(g), ones_field(n), rho)
 
 
 def test_criterion_01_bubble_mass():
@@ -85,10 +85,9 @@ def test_criterion_03_trudinger_moser_threshold():
     ks = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
     members = [moser_family(z, delta, k, spec) for k in ks]
 
-    probe_41 = tm_probe(4.1 * np.pi, members, spec.conn, spec.grid)
-    probe_39 = tm_probe(3.9 * np.pi, members, spec.conn, spec.grid)
-    plateau = [plateau_integral(4.1 * np.pi, u, z, delta, k, spec.conn,
-                                spec.grid, exact_area=True)
+    probe_41 = tm_probe(4.1 * np.pi, members, spec.conn)
+    probe_39 = tm_probe(3.9 * np.pi, members, spec.conn)
+    plateau = [plateau_integral(4.1 * np.pi, u, z, delta, k, spec.conn, exact_area=True)
                for u, k in zip(members, ks)]
 
     lk = np.log(np.asarray(ks, dtype=float))
@@ -116,7 +115,7 @@ def test_criterion_04_moser_normalization():
     n = 512
     spec = flat_spec(n, rho=4 * np.pi)
     u = moser_family((n // 2, n // 2), 0.125, 64, spec)
-    e = bundle_energy(u, spec.conn, spec.grid)
+    e = bundle_energy(u, spec.conn)
     check(fails, 0.98 <= e <= 1.02, "criterion 4 (Moser energy)",
           f"grid Dirichlet energy = {e:.5f} (in [0.98, 1.02]) at n=512, k=64")
     assert not fails, "\n".join(fails)
@@ -130,7 +129,7 @@ def test_criterion_05_subcritical_minimization():
     init = random_band_limited(g, rng, amplitude=0.5)
     opts = SolverOptions(tol=1e-11)
 
-    spec = make_problem(g, zero_connection(g), ones_field(n), 4 * np.pi)
+    spec = ProblemSpec(zero_connection(g), ones_field(n), 4 * np.pi)
     res = minimize(spec, init, opts)
     j0 = evaluate_J(ScalarField(np.zeros((n, n))), spec)
     check(fails, res.converged and res.residual <= 1e-8,
@@ -142,12 +141,12 @@ def test_criterion_05_subcritical_minimization():
     check(fails, sup <= 1e-6, "criterion 5 (flat trivial)",
           f"sup|u| = {sup:.2e} (<= 1e-6)")
 
-    spec2 = make_problem(g, df_connection(g, 0.3), ones_field(n), 4 * np.pi)
+    spec2 = ProblemSpec(df_connection(g, 0.3), ones_field(n), 4 * np.pi)
     res2 = minimize(spec2, init, opts)
     check(fails, res2.converged and res2.residual <= 1e-8,
           "criterion 5 (bundle converged)",
           f"converged={res2.converged}, residual={res2.residual:.2e} (<= 1e-8)")
-    full = (bundle_laplacian(res2.u, spec2.conn, g).values
+    full = (bundle_laplacian(res2.u, spec2.conn).values
             - spec2.rho * (spec2.hweight.values * np.exp(res2.u.values) / res2.mu
                            - 1.0 / g.total_area)
             + res2.lambda1 * spec2.conn.kernel.tau1.values)
@@ -173,7 +172,7 @@ def test_criterion_06_kernel_dichotomy():
         check(fails, kb.dim == 1 and resid <= 1e-8,
               f"criterion 6 ({name} connection)",
               f"dim = {kb.dim} (= 1), kernel residual = {resid:.2e} (<= 1e-8)")
-        lam, _ = smallest_eigenvalue(conn, g)
+        lam, _ = smallest_eigenvalue(conn)
         check(fails, lam >= 0.1, f"criterion 6 ({name} gap)",
               f"deflated smallest eigenvalue = {lam:.3f} (>= 0.1)")
 
@@ -181,7 +180,7 @@ def test_criterion_06_kernel_dichotomy():
     kb = conn.kernel
     check(fails, kb.dim == 0, "criterion 6 (holonomy)",
           f"omega = 2 pi dx: dim = {kb.dim} (= 0)")
-    lam, _ = smallest_eigenvalue(conn, g)
+    lam, _ = smallest_eigenvalue(conn)
     check(fails, lam >= 0.1, "criterion 6 (holonomy gap)",
           f"smallest eigenvalue = {lam:.3f} (>= 0.1)")
     assert not fails, "\n".join(fails)
@@ -202,7 +201,7 @@ def test_criterion_07_poincare():
     for _ in range(200):
         u = project_H1(random_band_limited(g, rng, kmax=10), kb)
         lhs = l2_inner(u, u, g)
-        rhs = C * bundle_energy(u, conn, g)
+        rhs = C * bundle_energy(u, conn)
         worst = max(worst, lhs / rhs if rhs > 0 else 0.0)
     check(fails, worst <= 1.0 + 1e-10, "criterion 7 (inequality)",
           f"max ||u||^2 / (C energy) over 200 samples = {worst:.6f} (<= 1)")

@@ -20,7 +20,6 @@ from bundlemf import (
     l2_inner,
     laplacian,
     make_connection,
-    make_problem,
     poincare_constant,
     project_H1,
 )
@@ -46,6 +45,7 @@ from bundlemf.geometry import (
     to_spectral,
 )
 from bundlemf.presets import make_connection_form, make_v_field
+from bundlemf.testfunctions import plateau_integral, tm_probe
 
 from conftest import (
     axis,
@@ -93,7 +93,7 @@ def dense_bundle_matrix(conn, grid) -> np.ndarray:
     eye = np.eye(N)
     for j in range(N):
         e = ScalarField(eye[:, j].reshape(n, n))
-        cols.append(bundle_laplacian(e, conn, grid).values.ravel())
+        cols.append(bundle_laplacian(e, conn).values.ravel())
     A = np.array(cols).T
     w = np.sqrt(grid.area_element.ravel())
     return A * (w[:, None] / w[None, :])
@@ -262,8 +262,32 @@ class TestKernelOwner:
         assert "_norm2" in vars(kb)
 
     def test_with_rho_keeps_the_kernel(self, grid32):
-        spec = make_problem(grid32, df_connection(grid32), ones_field(32), 5.0)
+        spec = ProblemSpec(df_connection(grid32), ones_field(32), 5.0)
         assert spec.with_rho(7.0).conn.kernel is spec.conn.kernel
+
+
+class TestGridOwner:
+    def test_poincare_rejects_another_grid(self):
+        """A connection made on the flat grid, paired with a conformal one of
+        the same size, is refused instead of mixing two metrics."""
+        flat, conformal = build_grid(32), build_grid(32, make_v_field("cos-x:0.3", 32))
+        conn = make_connection(make_connection_form("exact:cos-x:0.3", flat), flat)
+        with pytest.raises(ValueError):
+            poincare_constant(conn, conformal)
+
+    def test_spec_grid_is_the_connections(self, grid32):
+        spec = ProblemSpec(df_connection(grid32), ones_field(32), 5)
+        assert "grid" not in {f.name for f in dataclasses.fields(ProblemSpec)}
+        assert spec.grid is spec.conn.grid is grid32
+        assert spec.with_rho(7).grid is spec.grid
+        assert type(spec.rho) is float
+
+    def test_no_grid_beside_the_connection(self):
+        for fn in (bundle_energy, bundle_laplacian, bundle.bundle_laplacian_raw,
+                   smallest_eigenvalue, tm_probe, plateau_integral):
+            assert "grid" not in inspect.signature(fn).parameters, fn.__qualname__
+        assert not hasattr(bundlemf, "make_problem")
+        assert "make_problem" not in bundlemf.__all__
 
 
 class TestProjection:
@@ -318,41 +342,41 @@ class TestBundleOperators:
     def test_constant_zero_energy(self, grid64):
         conn = zero_connection(grid64)
         u = ScalarField(np.full((64, 64), 5.0))
-        assert bundle_energy(u, conn, grid64) < 1e-14
+        assert bundle_energy(u, conn) < 1e-14
 
     def test_kernel_has_zero_energy(self, grid64):
         conn = df_connection(grid64)
         kb = conn.kernel
-        assert bundle_energy(kb.tau1, conn, grid64) <= 1e-14
+        assert bundle_energy(kb.tau1, conn) <= 1e-14
 
     def test_energy_matches_weak_form(self, grid64):
         conn = df_connection(grid64)
         rng = np.random.default_rng(8)
         for _ in range(5):
             u = random_band_limited(grid64, rng)
-            e = bundle_energy(u, conn, grid64)
-            w = l2_inner(u, bundle_laplacian(u, conn, grid64), grid64)
+            e = bundle_energy(u, conn)
+            w = l2_inner(u, bundle_laplacian(u, conn), grid64)
             assert abs(e - w) < 1e-9 * max(1.0, abs(e))
 
     def test_reduces_to_laplacian_for_zero_connection(self, grid64):
         conn = zero_connection(grid64)
         rng = np.random.default_rng(10)
         u = random_band_limited(grid64, rng)
-        lhs = bundle_laplacian(u, conn, grid64)
+        lhs = bundle_laplacian(u, conn)
         rhs = laplacian(u, grid64)
         assert np.max(np.abs(lhs.values - rhs.values)) == 0.0
 
     def test_annihilates_tau1(self, grid64):
         conn = df_connection(grid64)
         kb = conn.kernel
-        out = bundle_laplacian(kb.tau1, conn, grid64)
+        out = bundle_laplacian(kb.tau1, conn)
         assert np.max(np.abs(out.values)) < 1e-8
 
     def test_eigenfunction(self, grid64):
         conn = zero_connection(grid64)
         x = axis(64)
         u = ScalarField(np.sin(2 * np.pi * x)[:, None] * np.ones((1, 64)))
-        out = bundle_laplacian(u, conn, grid64)
+        out = bundle_laplacian(u, conn)
         assert np.max(np.abs(out.values - 4 * np.pi**2 * u.values)) < 1e-10
 
     def test_self_adjointness(self, grid64):
@@ -361,8 +385,8 @@ class TestBundleOperators:
         for _ in range(5):
             u = random_band_limited(grid64, rng)
             w = random_band_limited(grid64, rng)
-            a = l2_inner(bundle_laplacian(u, conn, grid64), w, grid64)
-            b = l2_inner(u, bundle_laplacian(w, conn, grid64), grid64)
+            a = l2_inner(bundle_laplacian(u, conn), w, grid64)
+            b = l2_inner(u, bundle_laplacian(w, conn), grid64)
             assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
     @given(kind=st.sampled_from(["zero", "exact", "harmonic"]), conformal=st.booleans(),
@@ -518,7 +542,7 @@ class TestPoincare:
             grid = build_grid(32, v)
             conn = conn_of(grid)
             assert conn.kernel.dim == dim
-            lam, _ = smallest_eigenvalue(conn, grid)
+            lam, _ = smallest_eigenvalue(conn)
             assert lam > 0.0
             ref = _restricted_oracle(conn, grid)
             assert abs(lam - ref) < 1e-10 * max(1.0, ref)
@@ -527,7 +551,7 @@ class TestPoincare:
         conn = df_connection(grid32, 0.3)
         with pytest.raises(EigensolveError,
                           match=r"max_iter after 2 steps at relative residual \d"):
-            smallest_eigenvalue(conn, grid32, max_iter=2)
+            smallest_eigenvalue(conn, max_iter=2)
 
     @given(a=st.floats(0.5, 10.0), b=st.floats(-10.0, 10.0),
            amp=st.floats(-1.0, 1.0), harmonic=st.booleans(),
@@ -536,12 +560,12 @@ class TestPoincare:
         conn = (harmonic_connection(grid32, a, b) if harmonic
                 else df_connection(grid32, amp))
         kb = conn.kernel
-        lam, x = smallest_eigenvalue(conn, grid32, seed=seed)
+        lam, x = smallest_eigenvalue(conn, seed=seed)
         scale = np.max(np.abs(x.values))
         assert np.max(np.abs(drop_nyquist(x.values, grid32) - x.values)) <= 1e-12 * scale
         if kb.dim == 1:
             assert abs(l2_inner(x, kb.tau1, grid32)) <= 1e-10
-        rayleigh = bundle_energy(x, conn, grid32) / l2_inner(x, x, grid32)
+        rayleigh = bundle_energy(x, conn) / l2_inner(x, x, grid32)
         assert abs(lam - rayleigh) <= 1e-10 * lam
         if harmonic:
             assert abs(lam - (a * a + b * b)) <= 1e-10 * (a * a + b * b)
@@ -559,7 +583,7 @@ class TestPoincare:
         monkeypatch.setattr(bundle, "spectral_laplacian_plus",
                             lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
         calls = count_fft_calls(monkeypatch)
-        smallest_eigenvalue(conn, grid)
+        smallest_eigenvalue(conn)
         assert len(applies) > 1
         assert len(calls) <= per_step * len(applies) + 4
 
@@ -570,14 +594,14 @@ class TestPoincare:
         n = 128
         grid = build_grid(n)
         conn = df_connection(grid)
-        peak = traced_peak(lambda: smallest_eigenvalue(conn, grid))
+        peak = traced_peak(lambda: smallest_eigenvalue(conn))
         assert peak <= 10 * 8 * n * n
 
     @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
     def test_unit_eigenvector(self, v):
         grid = build_grid(32, make_v_field(v, 32) if v else None)
         conn = df_connection(grid)
-        _, x = smallest_eigenvalue(conn, grid)
+        _, x = smallest_eigenvalue(conn)
         assert abs(l2_inner(x, x, grid) - 1.0) <= 1e-12
 
     def test_no_kernel_ffts(self, monkeypatch, grid32):
@@ -585,10 +609,10 @@ class TestPoincare:
         FFTs of the eigen-solve, and no more."""
         calls = count_fft_calls(monkeypatch)
         spent = []
-        for solve in (poincare_constant, smallest_eigenvalue):
+        for solve in (lambda c: poincare_constant(c, c.grid), smallest_eigenvalue):
             conn = df_connection(grid32)    # fresh: tau1's transforms not cached
             calls.clear()
-            solve(conn, grid32)
+            solve(conn)
             spent.append(len(calls))
         assert spent[0] == spent[1]
 
@@ -606,7 +630,7 @@ class TestPoincare:
         rng = np.random.default_rng(21)
         for _ in range(200):
             u = project_H1(random_band_limited(grid64, rng, kmax=10), conn.kernel)
-            assert l2_inner(u, u, grid64) <= C * bundle_energy(u, conn, grid64) * (1 + 1e-10)
+            assert l2_inner(u, u, grid64) <= C * bundle_energy(u, conn) * (1 + 1e-10)
 
 
 def _nyquist_projector(grid):
@@ -638,7 +662,7 @@ class TestKernelDichotomy:
     def test_single_near_zero_eigenvalue(self, grid32, maker):
         conn = maker(grid32)
         assert conn.kernel.dim in (0, 1)
-        lam, _ = smallest_eigenvalue(conn, grid32)
+        lam, _ = smallest_eigenvalue(conn)
         # after deflating the at-most-one kernel direction, a clear gap
         assert lam >= 0.1
 

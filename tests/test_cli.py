@@ -245,6 +245,8 @@ class TestExitCodes:
         (["qk", "--n", "64", "--k", "10000"], None),
         (["sweep", "--n", "16", "--kmax", "0"], None),
         (["moser"], {"delta": 0.3}),
+        (["moser", "--n", "32"], {"delta": 0.0}),
+        (["moser", "--n", "32"], {"delta": -0.1}),
         (["green", "--n", "16"], {"p": 5}),
         (["green", "--n", "16"], {"p": [1]}),
         (["green", "--n", "16"], {"p": [1, 2, 3]}),
@@ -270,7 +272,8 @@ class TestExitCodes:
         (["minimize", "--n", "16", "--v-preset", "cos-x:abc"], None),
         (["minimize", "--n", "16", "--h-preset", "exp-cos:abc"], None),
         (["minimize", "--n", "16", "--v-preset", "cos-xy"], None),
-    ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3", "p-int", "p-short",
+    ], ids=["qk-k4", "qk-k10000", "sweep-kmax0", "moser-delta0.3",
+            "moser-delta0", "moser-delta-negative", "p-int", "p-short",
             "p-long", "p-float", "connection-int", "backend-gpu", "seed-negative",
             "cli-seed-negative", "cli-p-long", "n-float", "max_iter-bool", "v_preset-null",
             "h-overflow", "v-overflow", "v-overflow-negative", "harmonic-overflow",

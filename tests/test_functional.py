@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from bundlemf import (
     ExponentOverflowError,
+    ProblemSpec,
     ScalarField,
     SolverOptions,
     bundle_energy,
@@ -14,7 +15,6 @@ from bundlemf import (
     integrate,
     l2_inner,
     laplacian,
-    make_problem,
     minimize,
     project_H1,
 )
@@ -61,7 +61,7 @@ def l2_norm(values, grid):
 class TestEvaluate:
     def test_zero_section(self, grid64):
         h = ScalarField(np.exp(cos_x_field(64, 1.0).values))
-        spec = make_problem(grid64, zero_connection(grid64), h, 4 * np.pi)
+        spec = ProblemSpec(zero_connection(grid64), h, 4 * np.pi)
         expected = -4 * np.pi * np.log(integrate(h, grid64))
         zero = ScalarField(np.zeros((64, 64)))
         assert evaluate_J(zero, spec) == pytest.approx(expected, rel=1e-14)
@@ -86,7 +86,7 @@ class TestEvaluate:
 
 class TestResidual:
     def test_rho_zero(self, grid64):
-        spec = make_problem(grid64, df_connection(grid64), ones_field(64), 0.0)
+        spec = ProblemSpec(df_connection(grid64), ones_field(64), 0.0)
         r, lam = el_residual(ScalarField(np.zeros((64, 64))), spec)
         assert np.max(np.abs(r.values)) < 1e-14
         assert lam == 0.0
@@ -111,7 +111,7 @@ class TestResidual:
     @pytest.mark.parametrize("exact", [False, True], ids=["harmonic", "exact"])
     def test_kernel_multiplier_is_el_residual_lambda(self, grid64, exact):
         conn = df_connection(grid64) if exact else harmonic_connection(grid64, 1.0, 0.5)
-        spec = make_problem(grid64, conn, ones_field(64), 6.0)
+        spec = ProblemSpec(conn, ones_field(64), 6.0)
         u = random_band_limited(grid64, np.random.default_rng(31), amplitude=0.7)
         _, lam = el_residual(u, spec)
         assert functional.kernel_multiplier(u.values, spec) == lam
@@ -135,7 +135,7 @@ class TestResidual:
 
 class TestMinimize:
     def test_rho_zero_exact(self, grid64):
-        spec = make_problem(grid64, df_connection(grid64), ones_field(64), 0.0)
+        spec = ProblemSpec(df_connection(grid64), ones_field(64), 0.0)
         res = minimize(spec)
         assert res.converged
         assert np.max(np.abs(res.u.values)) == 0.0
@@ -170,7 +170,7 @@ class TestMinimize:
         assert res.residual <= 1e-8
         # full unprojected optimality system
         g = spec.grid
-        full = (bundle_laplacian(res.u, spec.conn, g).values
+        full = (bundle_laplacian(res.u, spec.conn).values
                 - spec.rho * (spec.hweight.values * np.exp(res.u.values) / res.mu
                               - 1.0 / g.total_area)
                 + res.lambda1 * spec.conn.kernel.tau1.values)
@@ -178,7 +178,7 @@ class TestMinimize:
 
     def test_nonuniform_weight_descends(self, grid64):
         h = ScalarField(np.exp(cos_x_field(64, 1.0).values))
-        spec = make_problem(grid64, zero_connection(grid64), h, 4 * np.pi)
+        spec = ProblemSpec(zero_connection(grid64), h, 4 * np.pi)
         res = minimize(spec, opts=SolverOptions(tol=1e-11))
         zero = ScalarField(np.zeros((64, 64)))
         assert res.converged
@@ -207,7 +207,7 @@ class TestMinimize:
         from conftest import harmonic_connection
 
         h = ScalarField(np.exp(cos_x_field(64, 1.0).values))
-        spec = make_problem(grid64, harmonic_connection(grid64), h, 4 * np.pi)
+        spec = ProblemSpec(harmonic_connection(grid64), h, 4 * np.pi)
         assert spec.conn.kernel.dim == 0
         res = minimize(spec, opts=SolverOptions(tol=1e-11))
         assert res.converged
@@ -249,7 +249,7 @@ def tau1_projection(spec):
 
 
 def projected_residual(u, spec, project):
-    return project(drop_nyquist(_raw_residual(u, spec)[0], spec.grid))
+    return project(drop_nyquist(_raw_residual(u, spec), spec.grid))
 
 
 def newton_step(u, r, spec):
@@ -276,7 +276,7 @@ def physical_newton_direction(u, r, spec, project):
     W = w * np.exp(shift - log_mu)
 
     def hess(phi):
-        lin = bundle_laplacian_raw(phi, spec.conn, g)
+        lin = bundle_laplacian_raw(phi, spec.conn)
         wphi = float(np.sum(W * phi * area))
         return project(drop_nyquist(lin - spec.rho * (W * phi - W * wphi), g))
 
@@ -334,7 +334,7 @@ class TestNewtonDirection:
                 "harmonic": harmonic_connection}[conn]
         h = ScalarField(np.exp(cos_x_field(32, 0.5).values))
         grid = build_grid(32, cos_x_field(32, 0.3)) if conformal else grid32
-        spec = make_problem(grid, make(grid), h, rho)
+        spec = ProblemSpec(make(grid), h, rho)
         g = spec.grid
         project = tau1_projection(spec)
         u = project(random_band_limited(g, np.random.default_rng(seed), kmax=kmax,
@@ -363,7 +363,7 @@ class TestNewtonDirection:
         h = ScalarField(np.exp(cos_x_field(32, 0.5).values))
         rng = np.random.default_rng(7)
         for rho in (-5.0, 4 * np.pi, 24.0):
-            spec = make_problem(grid32, make(grid32), h, rho)
+            spec = ProblemSpec(make(grid32), h, rho)
             project = tau1_projection(spec)
             for _ in range(3):
                 u = project(random_band_limited(grid32, rng, kmax=6, amplitude=1.0).values)
@@ -431,7 +431,7 @@ class TestLineSearchFunctional:
                                        v_preset="cos-x:0.3"))
         u = random_band_limited(spec.grid, np.random.default_rng(13), kmax=4)
         J = functional._state(to_spectral(u.values, spec.grid), spec)[1]
-        energy = bundle_energy(u, spec.conn, spec.grid)
+        energy = bundle_energy(u, spec.conn)
         assert abs(2.0 * J - energy) <= 1e-13 * energy
 
 
@@ -444,7 +444,7 @@ class TestCoercivityProbe:
         worst = np.inf
         for _ in range(400):
             u = project_H1(random_band_limited(g, rng, kmax=8), spec.conn.kernel)
-            e = bundle_energy(u, spec.conn, g)
+            e = bundle_energy(u, spec.conn)
             if e > 1e-12:
                 u = ScalarField(u.values / max(1.0, np.sqrt(e)))
             worst = min(worst, evaluate_J(u, spec))

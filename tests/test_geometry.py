@@ -420,6 +420,16 @@ class TestLayering:
                     if isinstance(node, ast.Call) and "KernelBasis" in read_names(node.func)}
         assert builders == {("bundle", "make_connection")}
 
+    def test_only_bundle_builds_the_connection(self):
+        """make_connection alone constructs a Connection, so every connection
+        carries the grid its potential and kernel were computed on."""
+        builders = {(path.stem, getattr(top, "name", None))
+                    for path in package_sources()
+                    for top in ast.parse(path.read_text()).body
+                    for node in ast.walk(top)
+                    if isinstance(node, ast.Call) and "Connection" in read_names(node.func)}
+        assert builders == {("bundle", "make_connection")}
+
     def test_read_names_finds_each_form(self):
         src = ("from .geometry import curl\nimport numpy as np\n"
                "def f(u):\n    y = g(u)\n    return np.fft.rfft2(y)\n")

@@ -5,13 +5,13 @@ import pytest
 from scipy.integrate import quad
 
 from bundlemf import (
+    ProblemSpec,
     ScalarField,
     bundle_laplacian,
     critical_value,
     critical_value_map,
     integrate,
     l2_inner,
-    make_problem,
     solve_green,
 )
 from bundlemf.geometry import build_grid, random_band_limited, torus_distance
@@ -33,7 +33,7 @@ RHO8 = 8 * np.pi
 
 def flat_spec(n):
     g = build_grid(n)
-    return make_problem(g, zero_connection(g), ones_field(n), RHO8)
+    return ProblemSpec(zero_connection(g), ones_field(n), RHO8)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +102,7 @@ class TestBackends:
     def test_exact_connection_backends(self):
         n = 256
         g = build_grid(n)
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         gd_s = solve_green((5, 7), spec)
         gd_f = solve_green((5, 7), spec, backend="fd")
         assert abs(gd_s.A_p - gd_f.A_p) <= 0.01 * abs(gd_s.A_p)
@@ -113,7 +113,7 @@ class TestBackends:
         # multiplier formula, orthogonality and the solvability contract
         n = 256
         g = build_grid(n, make_v_field("cos-x:0.1", n))
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         gd = solve_green((31, 77), spec)
         gd_fd = solve_green((31, 77), spec, backend="fd")
         assert gd.residual <= 1e-8
@@ -129,7 +129,7 @@ class TestBackends:
         kernel basis caches the twin's tau1 transform once."""
         n = 256
         g = build_grid(n)
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         solve_green((5, 7), spec, backend="fd")
         twin = g.five_point
         solve_green((9, 3), spec, backend="fd")
@@ -165,7 +165,7 @@ class TestLocalExpansion:
         diffs = {}
         for n in (128, 256):
             g = build_grid(n, make_v_field("cos-x:0.1", n))
-            spec = make_problem(g, zero_connection(g), ones_field(n), RHO8)
+            spec = ProblemSpec(zero_connection(g), ones_field(n), RHO8)
             p = (n // 8, n // 3)
             gd = solve_green(p, spec)
             r = torus_distance(g, p)
@@ -207,7 +207,7 @@ class TestDistributional:
             worst = 0.0
             for _ in range(3):
                 phi = random_band_limited(g, rng, kmax=5)
-                lap_phi = bundle_laplacian(phi, spec.conn, g)
+                lap_phi = bundle_laplacian(phi, spec.conn)
                 lhs = l2_inner(gd.G, lap_phi, g)
                 i, j = gd.p
                 rhs = (8 * np.pi * (phi.values[i, j]
@@ -223,7 +223,7 @@ class TestDistributional:
     def test_lambda_closed_form(self):
         n = 256
         g = build_grid(n)
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         gd = solve_green((11, 40), spec)
         t1 = spec.conn.kernel.tau1
         expected = 8 * np.pi * (t1.values[11, 40]
@@ -241,7 +241,7 @@ class TestErrors:
         # the default tolerance
         n = 64
         g = build_grid(n)
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         with pytest.raises(SolvabilityError):
             solve_green((0, 0), spec)
         gd = solve_green((0, 0), spec, solvability_tol=1e-2)
@@ -278,7 +278,7 @@ class TestCriticalValueMap:
         g = build_grid(n)
         x = np.arange(n) / n
         h = ScalarField(np.exp(np.cos(2 * np.pi * x))[:, None] * np.ones((1, n)))
-        spec = make_problem(g, zero_connection(g), h, RHO8)
+        spec = ProblemSpec(zero_connection(g), h, RHO8)
         out = critical_value_map(spec, stride=32)
         # A_p and meanG are translation invariant here, so the map is
         # C - 8 pi log h(p): its argmin sits where h peaks (x = 0)
@@ -298,7 +298,7 @@ class TestMemory:
         n = 1024."""
         n = 256
         g = build_grid(n)
-        spec = make_problem(g, df_connection(g, 0.3), ones_field(n), RHO8)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         assert traced_peak(lambda: solve_green((3, 5), spec)) <= 8 * 8 * n * n
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import fields, replace
 
-from bundlemf import build_Qk, bundle_energy, evaluate_J, functional, make_problem, sweep
+from bundlemf import ProblemSpec, build_Qk, bundle_energy, evaluate_J, functional, sweep
 from bundlemf.cli import RunConfig, build_problem
 from bundlemf.functional import ExponentOverflowError, minimize
 from bundlemf.geometry import build_grid, random_band_limited
@@ -22,7 +22,7 @@ from conftest import count_fft_calls, ones_field, zero_connection
 def trivial_sweep():
     n = 64
     g = build_grid(n)
-    spec = make_problem(g, zero_connection(g), ones_field(n), 4 * np.pi)
+    spec = ProblemSpec(zero_connection(g), ones_field(n), 4 * np.pi)
     return spec, subcritical_sweep(spec, 8)
 
 
@@ -60,7 +60,7 @@ class TestSweep:
         monkeypatch.setattr(functional, "bundle_energy", counted)
         rec = record_from_state(u, 6.0, spec)
         assert len(calls) == 1
-        assert rec.energy == bundle_energy(u, spec.conn, spec.grid)
+        assert rec.energy == bundle_energy(u, spec.conn)
         assert rec.jvalue == evaluate_J(u, spec.with_rho(6.0))
 
     def test_record_from_result_equals_recomputed(self):
@@ -228,7 +228,7 @@ class TestWindowProfile:
 def injected_records():
     n = 256
     g = build_grid(n)
-    spec = make_problem(g, zero_connection(g), ones_field(n), 8 * np.pi)
+    spec = ProblemSpec(zero_connection(g), ones_field(n), 8 * np.pi)
     records = []
     from bundlemf.green import solve_green
 

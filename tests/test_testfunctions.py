@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from bundlemf import (
+    ProblemSpec,
     ScalarField,
     annulus_capacity,
     annulus_capacity_numeric,
     build_Qk,
     bundle_energy,
     l2_inner,
-    make_problem,
     moser_family,
     qk_audit,
     tm_probe,
@@ -85,9 +85,9 @@ class TestMoser:
         # delta/sqrt(k) = 8h here, the spec's resolvability edge
         n = 256
         g = build_grid(n)
-        spec = make_problem(g, zero_connection(g), ones_field(n), 4 * np.pi)
+        spec = ProblemSpec(zero_connection(g), ones_field(n), 4 * np.pi)
         u = moser_family((n // 2, n // 2), 0.125, 16, spec)
-        e = bundle_energy(u, spec.conn, g)
+        e = bundle_energy(u, spec.conn)
         assert 0.95 <= e <= 1.05
 
     def test_rejects_bad_parameters(self, flat_problem64):
@@ -100,27 +100,25 @@ class TestMoser:
 class TestProbe:
     def test_alpha_zero_gives_area(self, flat_problem64):
         u = moser_family((32, 32), 0.125, 8, flat_problem64)
-        vals = tm_probe(0.0, [u], flat_problem64.conn, flat_problem64.grid)
+        vals = tm_probe(0.0, [u], flat_problem64.conn)
         assert vals == [pytest.approx(1.0)]
 
     def test_overflow_reported_as_diverged(self, flat_problem64):
         u = moser_family((32, 32), 0.125, 8, flat_problem64)
-        vals = tm_probe(3000 * np.pi, [u], flat_problem64.conn,
-                        flat_problem64.grid)
+        vals = tm_probe(3000 * np.pi, [u], flat_problem64.conn)
         assert vals == [float("inf")]
 
     def test_zero_energy_member_rejected(self, flat_problem64):
         zero = ScalarField(np.zeros((64, 64)))
         with pytest.raises(ValueError):
-            tm_probe(np.pi, [zero], flat_problem64.conn, flat_problem64.grid)
+            tm_probe(np.pi, [zero], flat_problem64.conn)
 
     def test_plateau_integral_variants(self, flat_problem64):
         u = moser_family((32, 32), 0.125, 16, flat_problem64)
         masked = plateau_integral(4.1 * np.pi, u, (32, 32), 0.125, 16,
-                                  flat_problem64.conn, flat_problem64.grid)
+                                  flat_problem64.conn)
         smooth = plateau_integral(4.1 * np.pi, u, (32, 32), 0.125, 16,
-                                  flat_problem64.conn, flat_problem64.grid,
-                                  exact_area=True)
+                                  flat_problem64.conn, exact_area=True)
         assert masked == pytest.approx(smooth, rel=0.3)
 
 
@@ -148,7 +146,7 @@ class TestCapacity:
 def spec256():
     n = 256
     g = build_grid(n)
-    return make_problem(g, zero_connection(g), ones_field(n), 8 * np.pi)
+    return ProblemSpec(zero_connection(g), ones_field(n), 8 * np.pi)
 
 
 class TestQk:
@@ -180,7 +178,7 @@ class TestQk:
     def test_rejects_coarse_grid(self):
         n = 32
         g = build_grid(n)
-        spec = make_problem(g, zero_connection(g), ones_field(n), 8 * np.pi)
+        spec = ProblemSpec(zero_connection(g), ones_field(n), 8 * np.pi)
         with pytest.raises(ValueError):
             build_Qk((0, 0), 64, spec)
 
@@ -212,7 +210,7 @@ class TestQk:
 def exact_spec256():
     n = 256
     g = build_grid(n)
-    return make_problem(g, df_connection(g, 0.3), ones_field(n), 8 * np.pi)
+    return ProblemSpec(df_connection(g, 0.3), ones_field(n), 8 * np.pi)
 
 
 def unprojected_qk(fam, spec):
