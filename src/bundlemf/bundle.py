@@ -8,7 +8,7 @@ V = |w|^2_g + d* w, which is what every solver in this module exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,54 +39,51 @@ class KernelBasis:
 
     When the connection form is exact, w = df, the kernel is spanned by
     tau1 ~ e^{-f} normalized to unit L2(dv_g) norm, f the zero-mean
-    primitive.  Only make_connection builds one, and `area` is its grid's
-    area_element, held by reference.
+    primitive.  Only make_connection builds one, on its connection's grid;
+    Connection.five_point copies it onto the 5-point twin.
 
-    `component` and `project` act on raw arrays in L2(dv_g): the projection
-    onto H1, the complement of the kernel, for every solver.
-    <tau1, tau1> is summed once, on first use.  `spectral` gives the
-    Fourier-space solvers the masked transforms of tau1 and of e^{2v} tau1,
-    each computed once per grid, and `deflation` the one projection they
-    deflate tau1 with.
+    `component` and `remove` act on raw arrays in L2(dv_g): `remove` is the
+    projection onto H1, the kernel's complement, for every solver, and
+    <tau1, tau1> is summed once, on first use.  `spectral` gives the Fourier
+    space solvers the masked transforms of tau1 and of e^{2v} tau1, each
+    computed once, and `deflation` the one projection they deflate tau1 with.
     """
 
     dim: int
+    grid: TorusGrid = field(repr=False, compare=False)
     tau1: ScalarField | None = None
-    area: np.ndarray | None = field(default=None, repr=False, compare=False)
     _spectra: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _norm2(self) -> float:
         t = self.tau1.values
-        return float(np.sum(t * t * self.area))
+        return float(np.sum(t * t * self.grid.area_element))
 
     def component(self, z: np.ndarray) -> float:
         """<z, tau1> / <tau1, tau1> in L2(dv_g); 0.0 when the kernel is trivial."""
         if self.dim == 0:
             return 0.0
-        return float(np.sum(z * self.tau1.values * self.area)) / self._norm2
+        return float(np.sum(z * self.tau1.values * self.grid.area_element)) / self._norm2
 
-    def project(self, z: np.ndarray) -> np.ndarray:
-        """z minus its tau1 component; z itself when the kernel is trivial."""
-        if self.dim == 0:
-            return z
-        return z - self.component(z) * self.tau1.values
+    def remove(self, z: np.ndarray) -> float:
+        """z minus its tau1 component, in place; returns the component (0.0 if trivial)."""
+        c = self.component(z)
+        if self.dim == 1:
+            z -= c * self.tau1.values
+        return c
 
-    def spectral(self, grid: TorusGrid, weighted: bool = False) -> np.ndarray:
+    def spectral(self, weighted: bool = False) -> np.ndarray:
         """The read-only masked transform (geometry.to_spectral) of tau1, or
-        of e^{2v} tau1 when `weighted`, on `grid`; the kernel must be
-        one-dimensional."""
+        of e^{2v} tau1 when `weighted`; the kernel must be one-dimensional."""
+        grid = self.grid
         weighted = weighted and bool(grid.v.values.any())   # flat: e^{2v} = 1 exactly
-        hit = self._spectra.get((id(grid), weighted))
-        if hit is None or hit[0] is not grid:
+        if weighted not in self._spectra:
             t = grid.exp2v * self.tau1.values if weighted else self.tau1.values
-            T = to_spectral(t, grid)
-            T.setflags(write=False)
-            hit = self._spectra[(id(grid), weighted)] = (grid, T)
-        return hit[1]
+            self._spectra[weighted] = to_spectral(t, grid)
+            self._spectra[weighted].setflags(write=False)
+        return self._spectra[weighted]
 
-    def deflation(self, grid: TorusGrid, against_weighted: bool = False,
-                  along_weighted: bool = False):
+    def deflation(self, against_weighted: bool = False, along_weighted: bool = False):
         """The in-place map Z -> Z - (<Z, A> / <B, A>) B on Nyquist-free rfft2
         coefficients, <.,.> Parseval's (grid.inner) and A, B the
         `spectral` transforms of tau1, weighted as flagged: Z made
@@ -95,8 +92,8 @@ class KernelBasis:
         when the kernel is trivial."""
         if self.dim == 0:
             return lambda Z: Z
-        A, B = self.spectral(grid, against_weighted), self.spectral(grid, along_weighted)
-        inner = grid.inner
+        A, B = self.spectral(against_weighted), self.spectral(along_weighted)
+        inner = self.grid.inner
         ba = inner(B, A)
 
         def deflate(Z):
@@ -115,6 +112,13 @@ class Connection:
     kernel: KernelBasis
     grid: TorusGrid = field(repr=False, compare=False)
 
+    @cached_property
+    def five_point(self) -> Connection:
+        """This connection, built once on the grid's 5-point twin: the same
+        potential and tau1 arrays, with the twin's spectra in its kernel."""
+        twin = self.grid.five_point
+        return replace(self, grid=twin, kernel=replace(self.kernel, grid=twin))
+
 
 def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
     """The connection with form w from one transform of w's components
@@ -128,17 +132,21 @@ def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
     pot = omega.c1**2 + omega.c2**2
     pot -= next(calculus)
     pot /= grid.exp2v
-    kernel = KernelBasis(dim=0)
+    kernel = KernelBasis(dim=0, grid=grid)
     if not (curl_inf > eps or abs(np.mean(omega.c1)) > eps or abs(np.mean(omega.c2)) > eps):
         tau = np.exp(-next(calculus))
         tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
-        kernel = KernelBasis(dim=1, tau1=ScalarField(tau), area=grid.area_element)
+        kernel = KernelBasis(dim=1, tau1=ScalarField(tau), grid=grid)
     return Connection(omega=omega, potential=ScalarField(pot), kernel=kernel, grid=grid)
 
 
 def project_H1(u: ScalarField, kb: KernelBasis) -> ScalarField:
     """L2(dv_g)-orthogonal projection onto the complement of the kernel."""
-    return u if kb.dim == 0 else ScalarField(kb.project(u.values))
+    if kb.dim == 0:
+        return u
+    z = u.values.copy()
+    kb.remove(z)
+    return ScalarField(z)
 
 
 def bundle_energy(u: ScalarField, conn: Connection) -> float:
@@ -178,7 +186,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PCGInfo:
-    """Why pcg stopped: "converged", "max_iter" or "negative_curvature"."""
+    """Why pcg stopped: "converged", "max_iter", "negative_curvature" or
+    "non_finite" (<p, A p> or ||r|| is NaN or infinite)."""
 
     reason: str
     iterations: int
@@ -200,8 +209,9 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
     solve on a kernel complement the caller deflates in its closures: `b`
     and every output of `apply` must lie in the residuals' range, every
     output of `precond` in the iterates' range.  Stops when ||r|| <= tol
-    ||b||, after max_iter steps, or on a direction with <p, A p> <= 0, and
-    returns the iterate reached so far.
+    ||b||, after max_iter steps, on a direction with <p, A p> <= 0, or as
+    soon as <p, A p> or ||r|| is not finite, and returns the iterate reached
+    so far.
 
     Holds x, r, p and one work vector: `b` becomes r and is overwritten
     (pass a copy to keep it), z = precond(r) is released once p is updated,
@@ -220,6 +230,9 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
     while it < max_iter:
         Ap = apply(p)
         pAp = inner(p, Ap)
+        if not np.isfinite(pAp):
+            reason = "non_finite"
+            break
         if pAp <= 0.0:
             reason = "negative_curvature"
             break
@@ -233,6 +246,9 @@ def pcg(apply, b: np.ndarray, precond=lambda z: z,
         rnorm = np.sqrt(rr)
         if rnorm <= tol * bnorm:
             reason = "converged"
+            break
+        if not np.isfinite(rnorm):
+            reason = "non_finite"
             break
         z = precond(r)
         rz_new = rr if z is r else inner(r, z)   # plain CG: z is r itself
@@ -249,27 +265,27 @@ def require_converged(info: PCGInfo, what: str) -> None:
                                f" iterations at relative residual {info.residual:.3e}")
 
 
-def solve_symmetrized(b: np.ndarray, conn: Connection, grid: TorusGrid,
-                      tol: float = PCG_TOL, max_iter: int = PCG_MAX_ITER) -> np.ndarray:
+def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
+                      max_iter: int = PCG_MAX_ITER) -> np.ndarray:
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
     complement: directly when V = 0, else by PCG in Fourier space (Boyd,
     Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15); raises
-    ConvergenceError short of tol.  `grid` picks the discretization:
-    conn.grid, or its 5-point twin conn.grid.five_point.
+    ConvergenceError short of tol.  conn.grid picks the discretization:
+    `conn` for the spectral one, `conn.five_point` for the 5-point one.
 
     The Krylov vectors are rfft2 coefficients masked by grid.mask (all ones
-    on the 5-point twin grid.five_point, whose symbol grid.k2 is positive on
-    the Nyquist modes): b is transformed once, each step applies
+    on the 5-point twin, whose symbol grid.k2 is positive on the Nyquist
+    modes): b is transformed once, each step applies
     geometry.spectral_laplacian_plus (one FFT pair) and the diagonal
     preconditioner grid.shifted_inverse, inner products are Parseval's,
     tau1 is deflated by KernelBasis.deflation (in the right-hand side, the
     operator and the preconditioner), and x is transformed back once.  b is
     not kept once transformed.
     """
-    V = conn.potential.values
+    grid, V = conn.grid, conn.potential.values
     if not V.any():
         return solve_flat_poisson_raw(b - b.mean(), grid)
-    deflate = conn.kernel.deflation(grid)   # in place: only ever given pcg's temporaries
+    deflate = conn.kernel.deflation()   # in place: only ever given pcg's temporaries
     B = deflate(to_spectral(b, grid))
     del b
     X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
@@ -328,7 +344,7 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
     """
     grid = conn.grid
     V, n2, inner = conn.potential.values, grid.n**2, grid.inner
-    deflate = conn.kernel.deflation(grid, against_weighted=True)
+    deflate = conn.kernel.deflation(against_weighted=True)
     conformal = grid.v.values.any()
 
     def mass(Z):            # M z, or None on the flat torus, where M z is z

@@ -135,12 +135,9 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     the bundle Laplacian annihilates tau1.
     """
     _guard(u.values)
-    kb = spec.conn.kernel
     r = _raw_residual(u.values, spec)
-    coef = kb.component(r)
-    if kb.dim == 1:
-        r -= coef * kb.tau1.values
-    return ScalarField(r), 0.0 - coef   # never -0.0
+    lambda1 = 0.0 - spec.conn.kernel.remove(r)   # never -0.0
+    return ScalarField(r), lambda1
 
 
 def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
@@ -178,7 +175,7 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     _guard(init.values)
 
     h4, inner = g.h**4, g.inner
-    primal = spec.conn.kernel.deflation(g, against_weighted=True)
+    primal = spec.conn.kernel.deflation(against_weighted=True)
 
     def norm(R: np.ndarray) -> float:
         return float(g.h**2 * np.sqrt(inner(R, R)))
@@ -260,7 +257,7 @@ def _state(U: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndar
     q *= g.n**2                  # e^{2v} = area_element / h^2, exactly
     R = to_spectral(q, g)
     R += KU
-    return u, J, spec.conn.kernel.deflation(g, along_weighted=True)(R)
+    return u, J, spec.conn.kernel.deflation(along_weighted=True)(R)
 
 
 def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.ndarray:
@@ -289,8 +286,8 @@ def _newton_direction(u: np.ndarray, B: np.ndarray, spec: ProblemSpec) -> np.nda
     at the 200-step cap, it is the iterate reached so far."""
     g, inner = spec.grid, spec.grid.inner
     kb = spec.conn.kernel
-    primal = kb.deflation(g, against_weighted=True)   # in place, on pcg's
-    dual = kb.deflation(g, along_weighted=True)       # temporaries only
+    primal = kb.deflation(against_weighted=True)   # in place, on pcg's
+    dual = kb.deflation(along_weighted=True)       # temporaries only
 
     # e^{2v} = area_element / h^2 scales the fields in place, as in the
     # Poisson apply

@@ -13,9 +13,9 @@ since d_g ~ e^{v(p)} r near p).
 
 Two discretizations back the smooth solve, used to cross-validate A_p: the
 spectral one and a 5-point finite-difference one.  Both are the one Fourier
-space solve bundle.solve_symmetrized, on the grid or on its 5-point twin
-(geometry.TorusGrid.five_point), the symbol and its mask being the only
-difference.
+space solve bundle.solve_symmetrized, given the connection or its 5-point
+twin conn.five_point (the same connection on geometry.TorusGrid.five_point),
+the symbol and its mask being the only difference.
 """
 
 from __future__ import annotations
@@ -123,15 +123,14 @@ def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
 
     rhs holds the projected right-hand side, scaled in place to e^{2v} rhs
     and taken out of the list, so no frame keeps it once transformed.  Both
-    backends are the bundle Poisson solve, the fd one on the grid's 5-point
-    twin: the 5-point symbol with no Nyquist mask, since it is positive
-    there, and tau1 deflated unmasked.
+    backends are the bundle Poisson solve, the fd one given the connection's
+    5-point twin spec.conn.five_point: the 5-point symbol with no Nyquist
+    mask, since it is positive there, and tau1 deflated unmasked.
     """
-    g = spec.grid
-    rhs[0] *= g.area_element
-    rhs[0] *= g.n**2              # e^{2v} = area_element / h^2, exactly
-    grid = g if backend == "spectral" else g.five_point
-    return solve_symmetrized(rhs.pop(), spec.conn, grid)
+    rhs[0] *= spec.grid.area_element
+    rhs[0] *= spec.grid.n**2      # e^{2v} = area_element / h^2, exactly
+    conn = spec.conn if backend == "spectral" else spec.conn.five_point
+    return solve_symmetrized(rhs.pop(), conn)
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +193,21 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
         t1 = kb.tau1.values
         lambda1 = 8.0 * np.pi * (t1[i, j] - np.sum(t1 * area) / g.total_area)
         f -= lambda1 * t1
-        residual = kb.component(f)
+        residual = kb.remove(f)           # projected onto H1
         if abs(residual) > solvability_tol:
             raise SolvabilityError(
                 f"rhs component along tau1 is {residual:.3e} > {solvability_tol:.1e}; "
                 "the multiplier and the discretization are inconsistent")
-        f -= residual * t1                # projected onto H1
 
     rhs = [f]                             # handed over: freed once transformed
     del f
     w = _solve_smooth(rhs, spec, backend)
 
     vp = float(g.v.values[i, j])
-    B = s + w
-    B[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
-    G = kb.project(B)
-    del s, w, B
+    G = s + w
+    G[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
+    del s, w
+    kb.remove(G)
     A_p = float(G[i, j])
     mean_G = float(np.sum(G * area))
 

@@ -229,10 +229,7 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     np.subtract(gd.G.values, q, out=q)
     cap = r <= R / k
     q[cap] = bubble_cap(c, k, r[cap])
-    kb = spec.conn.kernel
-    shift = kb.component(q)
-    if kb.dim == 1:
-        q -= shift * kb.tau1.values       # projected onto H1
+    shift = spec.conn.kernel.remove(q)    # projected onto H1
     return QkFamily(p=(i, j), k=k, R=R, c=c, field=ScalarField(q),
                     greendata=gd, shift=shift)
 

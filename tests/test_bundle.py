@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import inspect
+import pkgutil
 
 import numpy as np
 import pytest
@@ -99,10 +101,10 @@ def dense_bundle_matrix(conn, grid) -> np.ndarray:
     return A * (w[:, None] / w[None, :])
 
 
-def solve_bundle_poisson(rhs, conn, grid, tol=PCG_TOL, max_iter=PCG_MAX_ITER):
+def solve_bundle_poisson(rhs, conn, tol=PCG_TOL, max_iter=PCG_MAX_ITER):
     """Solve (Delta_g + V) u = rhs on the complement of the kernel, for rhs
     L2(dv_g)-orthogonal to tau1; see `solve_symmetrized`."""
-    return ScalarField(solve_symmetrized(grid.exp2v * rhs.values, conn, grid,
+    return ScalarField(solve_symmetrized(conn.grid.exp2v * rhs.values, conn,
                                          tol=tol, max_iter=max_iter))
 
 
@@ -240,7 +242,7 @@ class TestKernelOwner:
         assert not hasattr(bundlemf, "kernel_basis")
         assert not hasattr(bundle, "kernel_basis")
         for fn in (solve_symmetrized, smallest_eigenvalue, poincare_constant,
-                   KernelBasis.component, KernelBasis.project):
+                   KernelBasis.component, KernelBasis.remove):
             params = inspect.signature(fn).parameters.values()
             assert not [q.name for q in params
                         if q.name in ("kb", "kernel", "weights")
@@ -254,7 +256,7 @@ class TestKernelOwner:
         use, not when the connection is made."""
         grid = build_grid(64, make_v_field(v, 64) if v else None)
         kb = df_connection(grid).kernel
-        assert kb.area is grid.area_element
+        assert kb.grid is grid
         assert "_norm2" not in vars(kb)
         t, area = kb.tau1.values, grid.area_element
         z = random_band_limited(grid, np.random.default_rng(3)).values
@@ -283,9 +285,34 @@ class TestGridOwner:
         assert type(spec.rho) is float
 
     def test_no_grid_beside_the_connection(self):
-        for fn in (bundle_energy, bundle_laplacian, bundle.bundle_laplacian_raw,
-                   smallest_eigenvalue, tm_probe, plateau_integral):
-            assert "grid" not in inspect.signature(fn).parameters, fn.__qualname__
+        """No public function or method of bundlemf takes a grid next to a
+        connection, a kernel or a spec, which hold their grid already (a
+        method of theirs counts `self`); poincare_constant alone keeps its
+        grid, and rejects a foreign one."""
+        owners = {"Connection", "KernelBasis", "ProblemSpec"}
+
+        def role(q):
+            if q.name == "grid" or str(q.annotation) == "TorusGrid":
+                return "grid"
+            if q.name in ("conn", "kb", "spec") or str(q.annotation) in owners:
+                return "owner"
+
+        offenders = set()
+        for info in pkgutil.iter_modules(bundlemf.__path__):
+            module = importlib.import_module(f"bundlemf.{info.name}")
+            for name, obj in vars(module).items():
+                if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                    continue
+                calls = [(obj, set())] if inspect.isfunction(obj) else []
+                if inspect.isclass(obj):
+                    calls += [(m, {"owner"} if name in owners else set())
+                              for k, m in vars(obj).items()
+                              if not k.startswith("_") and inspect.isfunction(m)]
+                for fn, roles in calls:
+                    roles |= {role(q) for q in inspect.signature(fn).parameters.values()}
+                    if {"grid", "owner"} <= roles:
+                        offenders.add(f"{module.__name__}.{fn.__qualname__}")
+        assert offenders == {"bundlemf.bundle.poincare_constant"}
         assert not hasattr(bundlemf, "make_problem")
         assert "make_problem" not in bundlemf.__all__
 
@@ -328,13 +355,18 @@ class TestProjection:
                 else harmonic_connection(grid, a, b))
         kb = conn.kernel
         z = random_band_limited(grid, np.random.default_rng(seed)).values
-        pz = kb.project(z)
+        pz = z.copy()
+        c = kb.remove(pz)                       # in place, returning the component
+        assert c == kb.component(z)
         if kb.dim == 0:
-            assert pz is z
-            assert kb.component(z) == 0.0
+            assert c == 0.0
+            assert pz.tobytes() == z.tobytes()
         else:
+            assert pz.tobytes() == (z - kb.component(z) * kb.tau1.values).tobytes()
             assert abs(kb.component(pz)) <= 1e-12
-            assert np.max(np.abs(kb.project(pz) - pz)) <= 1e-12
+            again = pz.copy()
+            kb.remove(again)
+            assert np.max(np.abs(again - pz)) <= 1e-12
             assert kb.component(kb.tau1.values) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -442,11 +474,18 @@ class TestPCG:
         assert info.iterations == 1
         assert np.allclose(x, [2.0 / 3.0, 2.0 / 3.0], rtol=0.0, atol=1e-15)
 
+    def test_nan_operator_stops_on_non_finite(self):
+        """A NaN <p, A p> ends the solve at once, not after max_iter steps."""
+        x, info = pcg(lambda p: np.full_like(p, np.nan), np.ones(4))
+        assert info.reason == "non_finite"
+        assert not info.converged
+        assert info.iterations <= 1
+
     def test_unconverged_poisson_solve_raises(self, grid32):
         conn = df_connection(grid32, 0.3)
         rhs = project_H1(random_band_limited(grid32, np.random.default_rng(1)), conn.kernel)
         with pytest.raises(ConvergenceError):
-            solve_bundle_poisson(rhs, conn, grid32, max_iter=1)
+            solve_bundle_poisson(rhs, conn, max_iter=1)
 
 
 class TestSpectralPCG:
@@ -487,10 +526,10 @@ class TestSpectralPCG:
         assert kb.dim == (kind == "exact")
         b = random_band_limited(grid, np.random.default_rng(5)).values
         evals, B = np.linalg.eigh(_nyquist_projector(grid))
-        for solve_grid, apply, Q in ((grid, folded_apply(conn, grid), B[:, evals > 0.5]),
-                                     (grid.five_point, five_point_apply(conn, grid),
+        for solve_conn, apply, Q in ((conn, folded_apply(conn, grid), B[:, evals > 0.5]),
+                                     (conn.five_point, five_point_apply(conn, grid),
                                       np.eye(n * n))):
-            x = solve_symmetrized(b, conn, solve_grid)
+            x = solve_symmetrized(b, solve_conn)
             K = np.column_stack([apply(e.reshape(n, n)).ravel() for e in np.eye(n * n)])
             if kb.dim == 1:
                 Q = Q @ null_space((Q.T @ kb.tau1.values.ravel())[None, :])
@@ -504,10 +543,10 @@ class TestSpectralPCG:
         b = random_band_limited(grid, np.random.default_rng(6)).values
         calls = count_fft_calls(monkeypatch)
         infos = spy_pcg(monkeypatch, bundle)
-        for solve_grid in (grid, grid.five_point):
+        for solve_conn in (conn, conn.five_point):
             calls.clear()
             infos.clear()
-            solve_symmetrized(b, conn, solve_grid)
+            solve_symmetrized(b, solve_conn)
             assert len(infos) == 1 and infos[0].iterations > 0
             assert len(calls) <= 2 * infos[0].iterations + 3
 
@@ -520,7 +559,7 @@ class TestSpectralPCG:
         grid = build_grid(n)
         conn = df_connection(grid)
         b = random_band_limited(grid, np.random.default_rng(7)).values
-        peak = traced_peak(lambda: solve_symmetrized(b.copy(), conn, grid))
+        peak = traced_peak(lambda: solve_symmetrized(b.copy(), conn))
         assert peak <= 6 * 16 * n * (n // 2 + 1)
 
 

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -234,6 +235,17 @@ class TestExitCodes:
         s = read_summary(tmp_path, "green")
         assert s["status"] == "error"
         assert "PCG" in s["results"]["error"]
+
+    def test_non_finite_pcg_stops_at_once(self, tmp_path):
+        """A potential of 1e200 overflows the Green rhs: the Poisson PCG stops
+        on non_finite after at most one step, not after 6000."""
+        proc = fresh_python("-m", "bundlemf.cli", "green", "--n", "256", "--p", "0,0",
+                            "--connection", "harmonic:1e100,0", "--out", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        s = read_summary(tmp_path, "green")
+        assert s["status"] == "error"
+        assert "non_finite" in s["results"]["error"]
+        assert int(re.search(r"after (\d+) iterations", s["results"]["error"])[1]) <= 1
 
     @pytest.mark.parametrize("args", [["--rho", "nan"], ["--rho", "inf"],
                                       ["--alpha", "-inf"]])

@@ -257,14 +257,14 @@ def newton_step(u, r, spec):
     Nyquist-free residual r: its right-hand side is minus the deflated
     transform of e^{2v} r, the R of functional._state."""
     g = spec.grid
-    B = spec.conn.kernel.deflation(g, along_weighted=True)(to_spectral(-r * g.exp2v, g))
+    B = spec.conn.kernel.deflation(along_weighted=True)(to_spectral(-r * g.exp2v, g))
     return from_spectral(_newton_direction(u, B, spec), g)
 
 
 def start_coefficients(init, spec):
     """The coefficients minimize starts from: Nyquist-free, off tau1."""
     g = spec.grid
-    return spec.conn.kernel.deflation(g, against_weighted=True)(to_spectral(init.values, g))
+    return spec.conn.kernel.deflation(against_weighted=True)(to_spectral(init.values, g))
 
 
 def physical_newton_direction(u, r, spec, project):
@@ -318,7 +318,7 @@ class TestNewtonDirection:
                             lambda Z, spec: trials.append(Z.copy()) or state(Z, spec))
         with pytest.warns(RuntimeWarning):
             minimize(spec, init, SolverOptions(max_iter=1))
-        D = -spec.conn.kernel.deflation(g, against_weighted=True)(g.shifted_inverse * R)
+        D = -spec.conn.kernel.deflation(against_weighted=True)(g.shifted_inverse * R)
         assert np.array_equal(trials[0], U)
         assert np.array_equal(trials[1], U + 1.0 * D)
 

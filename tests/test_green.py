@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bundlemf import green
 from bundlemf import (
     ProblemSpec,
     ScalarField,
@@ -26,7 +27,13 @@ from bundlemf.green import (
 )
 from bundlemf.presets import make_v_field
 
-from conftest import df_connection, ones_field, traced_peak, zero_connection
+from conftest import (
+    count_fft_calls,
+    df_connection,
+    ones_field,
+    traced_peak,
+    zero_connection,
+)
 
 RHO8 = 8 * np.pi
 
@@ -124,18 +131,29 @@ class TestBackends:
                                 - integrate(t1, g) / g.total_area)
         assert gd.lambda1 == pytest.approx(expected, abs=1e-10)
 
-    def test_five_point_twin_built_once(self):
-        """Two fd solves on one spec share the grid's 5-point twin, and the
-        kernel basis caches the twin's tau1 transform once."""
+    def test_five_point_twin_built_once(self, monkeypatch):
+        """Two fd solves on one spec share the connection's 5-point twin: on
+        the grid's twin, with the parent's potential and tau1 arrays, and
+        tau1 transformed once, so a second solve at the same node makes one
+        FFT fewer than the first."""
         n = 256
         g = build_grid(n)
         spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
-        solve_green((5, 7), spec, backend="fd")
-        twin = g.five_point
-        solve_green((9, 3), spec, backend="fd")
-        assert g.five_point is twin
-        held = [key for key, (grid, _) in spec.conn.kernel._spectra.items() if grid is twin]
-        assert held == [(id(twin), False)]
+        solved_on, solve = [], green.solve_symmetrized
+        monkeypatch.setattr(green, "solve_symmetrized",
+                            lambda b, conn: solved_on.append(conn) or solve(b, conn))
+        calls = count_fft_calls(monkeypatch)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            solve_green((5, 7), spec, backend="fd")
+            counts.append(len(calls))
+        twin = spec.conn.five_point
+        assert len(solved_on) == 2 and solved_on[0] is solved_on[1] is twin
+        assert twin.grid is spec.grid.five_point
+        assert twin.potential.values is spec.conn.potential.values
+        assert twin.kernel.tau1.values is spec.conn.kernel.tau1.values
+        assert counts[0] == counts[1] + 1
 
     def test_unknown_backend(self, spec128):
         with pytest.raises(ValueError):
