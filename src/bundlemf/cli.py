@@ -15,6 +15,7 @@ import json
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -246,16 +247,30 @@ def cmd_sweep(cfg: RunConfig, outdir) -> dict:
     return report
 
 
+@contextmanager
+def _raising(what: str):
+    """numpy overflow and invalid values raised, not warned about (also under
+    `python -W error`), and reported as a NumericalFailure, so the summary
+    is written."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{what} left the floating-point range: {exc}") from exc
+
+
 def cmd_green(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
-    gd = solve_green(cfg.p, spec, backend=cfg.backend)
-    lam = critical_value(gd, spec)
+    with _raising("the Green solve"):
+        gd = solve_green(cfg.p, spec, backend=cfg.backend)
+        lam = critical_value(gd, spec)
     save_scalar_csv(gd.G, str(outdir / "green_field.csv"), cfg.v_preset)
     save_field_json(str(outdir / "green_field.json"), "green_field.csv",
                     "scalar", cfg.n, cfg.v_preset)
     save_scalar_csv(gd.eta, str(outdir / "green_eta.csv"), cfg.v_preset)
     return {"A_p": gd.A_p, "lambda1": gd.lambda1, "meanG": gd.meanG,
             "Lambda": lam, "residual": gd.residual, "backend": gd.backend,
+            "pcg_iterations": gd.pcg_iterations,
             "p": list(gd.p), "field_csv": "green_field.csv",
             "eta_csv": "green_eta.csv"}
 
@@ -263,7 +278,8 @@ def cmd_green(cfg: RunConfig, outdir) -> dict:
 def cmd_critmap(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
     try:
-        out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
+        with _raising("the critical value map"):
+            out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     save_array_csv(out["values"], outdir / "critmap.csv")
@@ -306,11 +322,13 @@ def cmd_bubble(cfg: RunConfig, outdir) -> dict:
 
 def cmd_qk(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
-    try:
-        fam = build_Qk(cfg.p, cfg.k, spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    report = qk_audit(fam, spec)
+    with _raising("the Q_k audit"):
+        try:
+            fam = build_Qk(cfg.p, cfg.k, spec)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        report = qk_audit(fam, spec)
+    report["pcg_iterations"] = fam.greendata.pcg_iterations
     save_scalar_csv(fam.field, str(outdir / "qk_field.csv"), cfg.v_preset)
     save_field_json(str(outdir / "qk_field.json"), "qk_field.csv", "scalar",
                     cfg.n, cfg.v_preset)

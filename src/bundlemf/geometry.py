@@ -290,6 +290,30 @@ def from_spectral(uh: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return np.fft.irfft2(uh, s=(grid.n, grid.n))
 
 
+def window(U: np.ndarray, m: int) -> np.ndarray:
+    """The fft2 coefficients on the window |k_x|, |k_y| <= m of the real
+    n x n array with rfft2 coefficients U: a (2m+1, 2m+1) array indexed by
+    k + m.  Wavenumbers wrap mod n, and a k_y past the rfft2 columns is read
+    at -k and conjugated (the array is real)."""
+    n = U.shape[0]
+    k = np.arange(-m, m + 1) % n
+    kx, ky = np.broadcast_arrays(k[:, None], k[None, :])
+    flip = ky > n // 2
+    W = U[np.where(flip, -kx % n, kx), np.where(flip, n - ky, ky)]
+    return np.where(flip, W.conj(), W)
+
+
+def set_window(U: np.ndarray, Z: np.ndarray, m: int) -> None:
+    """Write Z, the k_y >= 0 half (the last m + 1 columns) of a `window`
+    with m < n/2, into the rfft2 coefficients U, in place."""
+    U[np.arange(-m, m + 1) % U.shape[0], : m + 1] = Z
+
+
+def low_modes(u: np.ndarray, m: int) -> np.ndarray:
+    """The `window` of the real array u's fft2 coefficients, from one rfft2."""
+    return window(_rfft2(u), m)
+
+
 def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:
     """Parseval on the rfft2 layout: n^2 times the Euclidean inner product of
     the real arrays with rfft2 coefficients a and b (weight 1 on column 0

@@ -15,7 +15,13 @@ Two discretizations back the smooth solve, used to cross-validate A_p: the
 spectral one and a 5-point finite-difference one.  Both are the one Fourier
 space solve bundle.solve_symmetrized, given the connection or its 5-point
 twin conn.five_point (the same connection on geometry.TorusGrid.five_point),
-the symbol and its mask being the only difference.
+the symbol and its mask being the only difference.  Its PCG is
+preconditioned block-Jacobi over a Fourier split (Connection.preconditioner:
+the exact coarse block on |k_x|, |k_y| <= COARSE_K = 6, shifted along
+tau1's low modes when the kernel is one-dimensional, and the diagonal
+(k^2 + 1)^{-1} elsewhere): 5 steps per Green solve on exact:cos-x:0.3 and
+3 on harmonic:1,0.5, where the diagonal alone took 11 and 6.
+GreenData.pcg_iterations records the count.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ class GreenData:
     meanG: float            # int G dv_g under the nodal convention
     residual: float         # pre-projection tau1-component of the rhs
     backend: str = "spectral"
+    pcg_iterations: int = 0  # Krylov steps of the smooth solve
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +125,9 @@ def _commutator_field(rr: np.ndarray, L: np.ndarray) -> np.ndarray:
 # backends for the smooth solve
 # ---------------------------------------------------------------------------
 
-def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
-    """Solve (Delta_g + V) w = rhs[0] for w orthogonal to the kernel.
+def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> tuple[np.ndarray, int]:
+    """Solve (Delta_g + V) w = rhs[0] for w orthogonal to the kernel;
+    returns w and the PCG's step count.
 
     rhs holds the projected right-hand side, scaled in place to e^{2v} rhs
     and taken out of the list, so no frame keeps it once transformed.  Both
@@ -130,7 +138,8 @@ def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> np.ndarray:
     rhs[0] *= spec.grid.area_element
     rhs[0] *= spec.grid.n**2      # e^{2v} = area_element / h^2, exactly
     conn = spec.conn if backend == "spectral" else spec.conn.five_point
-    return solve_symmetrized(rhs.pop(), conn)
+    w, info = solve_symmetrized(rhs.pop(), conn)
+    return w, info.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +210,7 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
 
     rhs = [f]                             # handed over: freed once transformed
     del f
-    w = _solve_smooth(rhs, spec, backend)
+    w, iterations = _solve_smooth(rhs, spec, backend)
 
     vp = float(g.v.values[i, j])
     G = s + w
@@ -217,7 +226,8 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
 
     return GreenData(p=(i, j), G=ScalarField(G), eta=ScalarField(eta), A_p=A_p,
                      lambda1=float(lambda1), meanG=mean_G,
-                     residual=abs(residual), backend=backend)
+                     residual=abs(residual), backend=backend,
+                     pcg_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +245,18 @@ def critical_value(gd: GreenData, spec: ProblemSpec) -> float:
 
 
 def critical_value_map(spec: ProblemSpec, stride: int, backend: str = "spectral") -> dict:
-    """Lambda(p) over every stride-th node; reports argmin and argmax."""
+    """Lambda(p) over every stride-th node; reports argmin and argmax, and
+    the Green PCG steps summed over the nodes."""
     n = spec.grid.n
     if stride <= 0 or n % stride != 0:
         raise ValueError(f"stride {stride} must divide n = {n}")
-    values = [critical_value(solve_green((i, j), spec, backend=backend), spec)
-              for i in range(0, n, stride) for j in range(0, n, stride)]
+    values, iterations = [], 0
+    for i in range(0, n, stride):
+        for j in range(0, n, stride):
+            gd = solve_green((i, j), spec, backend=backend)
+            values.append(critical_value(gd, spec))
+            iterations += gd.pcg_iterations
+            del gd                        # frees G and eta before the next solve
     values = np.array(values).reshape(n // stride, n // stride)
     amin = np.unravel_index(int(np.argmin(values)), values.shape)
     amax = np.unravel_index(int(np.argmax(values)), values.shape)
@@ -252,5 +268,6 @@ def critical_value_map(spec: ProblemSpec, stride: int, backend: str = "spectral"
         "argmax_node": (int(amax[0] * stride), int(amax[1] * stride)),
         "min": float(values.min()),
         "max": float(values.max()),
+        "pcg_iterations": iterations,
     }
 

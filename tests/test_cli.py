@@ -84,6 +84,17 @@ class TestCommands:
         assert s["results"]["nodes_per_axis"] == 2
         assert (tmp_path / "critmap.csv").exists()
 
+    def test_krylov_counts_in_summaries(self, tmp_path):
+        """green and qk report their Green solve's PCG steps, critmap the sum
+        over its nodes: one node here, so all three agree."""
+        counts = []
+        for argv in (["green", "--p", "0,0"], ["critmap", "--stride", "64"],
+                     ["qk", "--p", "0,0", "--k", "64"]):
+            out = tmp_path / argv[0]
+            assert run(out, argv + ["--n", "64", "--connection", "harmonic:1,0.5"]) == 0
+            counts.append(read_summary(out, argv[0])["results"]["pcg_iterations"])
+        assert counts[0] > 0 and counts == [counts[0]] * 3
+
     def test_moser(self, tmp_path):
         assert run(tmp_path, ["moser", "--n", "64", "--kmax", "8",
                               "--alpha", str(4.1 * np.pi)]) == 0
@@ -225,6 +236,20 @@ class TestExitCodes:
         s = read_summary(tmp_path, "minimize")
         assert s["status"] == ("ok" if proc.returncode == 0 else "error")
         assert any("8*pi" in w for w in s["results"]["warnings"])
+
+    @pytest.mark.parametrize("argv", [["green", "--n", "32", "--p", "0,0"],
+                                      ["critmap", "--n", "32", "--stride", "16"],
+                                      ["qk", "--n", "64", "--k", "16"]])
+    def test_overflow_under_warnings_as_errors(self, tmp_path, argv):
+        """A potential of 7e307 overflows the Green assembly: under -W error
+        the command exits 1 with a summary, not a traceback."""
+        proc = fresh_python("-W", "error", "-m", "bundlemf.cli", *argv,
+                            "--connection", "harmonic:1.3e153,0", "--out", str(tmp_path))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        s = read_summary(tmp_path, argv[0])
+        assert s["status"] == "error"
+        assert "floating-point range" in s["results"]["error"]
 
     def test_unconverged_pcg_writes_diagnostics(self, tmp_path, monkeypatch):
         monkeypatch.setattr(green, "solve_symmetrized",

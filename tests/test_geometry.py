@@ -20,7 +20,15 @@ from bundlemf import (
     oneform_inner,
 )
 from bundlemf import bundle, geometry
-from bundlemf.geometry import _rfft2, flat_laplacian_raw, oneform_calculus, random_band_limited
+from bundlemf.geometry import (
+    _rfft2,
+    flat_laplacian_raw,
+    low_modes,
+    oneform_calculus,
+    random_band_limited,
+    set_window,
+    window,
+)
 
 from conftest import axis, cos_x_field, count_fft_calls, fresh_python
 
@@ -150,6 +158,22 @@ class TestForwardTransform:
         ours, ref = _rfft2(u), np.fft.rfft2(u)
         assert ours.shape == ref.shape and ours.dtype == ref.dtype
         assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64))
+
+
+    @pytest.mark.parametrize("n, m", [(16, 12), (16, 6), (64, 6)])
+    def test_window_is_the_fft2_window(self, n, m):
+        """low_modes and window give fft2(u)[k mod n] on |k_x|, |k_y| <= m,
+        also past the rfft2 columns (m = 12 > n/2 = 8 wraps), and
+        set_window writes the k_y >= 0 half back where window read it."""
+        u = np.random.default_rng(n + m).standard_normal((n, n))
+        k = np.arange(-m, m + 1) % n
+        want = np.fft.fft2(u)[np.ix_(k, k)]
+        assert np.allclose(low_modes(u, m), want, rtol=0, atol=1e-12 * n * n)
+        if 2 * m < n:
+            U = np.fft.rfft2(u)
+            V = np.zeros_like(U)
+            set_window(V, window(U, m)[:, m:], m)
+            assert np.array_equal(window(V, m), window(U, m))
 
 
 class TestExteriorDerivative:

@@ -13,6 +13,7 @@ from bundlemf import (
     critical_value_map,
     integrate,
     l2_inner,
+    make_connection,
     solve_green,
 )
 from bundlemf.geometry import build_grid, random_band_limited, torus_distance
@@ -25,7 +26,7 @@ from bundlemf.green import (
     _radial_moments,
     cutoff,
 )
-from bundlemf.presets import make_v_field
+from bundlemf.presets import make_connection_form, make_v_field
 
 from conftest import (
     count_fft_calls,
@@ -131,11 +132,26 @@ class TestBackends:
                                 - integrate(t1, g) / g.total_area)
         assert gd.lambda1 == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("v", ["zero", "cos-x:0.3"])
+    @pytest.mark.parametrize("connection, steps", [("exact:cos-x:0.3", 6),
+                                                   ("harmonic:1,0.5", 4)])
+    def test_pcg_step_counts(self, connection, steps, v):
+        """The coarse block keeps the Green PCG at 5 steps on the exact
+        connection (11 with the diagonal preconditioner alone) and 3 on the
+        harmonic one (6), on both backends, flat and conformal, at n = 256."""
+        n = 256
+        g = build_grid(n, make_v_field(v, n))
+        spec = ProblemSpec(make_connection(make_connection_form(connection, g), g),
+                           ones_field(n), RHO8)
+        for backend in ("spectral", "fd"):
+            gd = solve_green((67, 33), spec, backend=backend)
+            assert 0 < gd.pcg_iterations <= steps
+
     def test_five_point_twin_built_once(self, monkeypatch):
         """Two fd solves on one spec share the connection's 5-point twin: on
         the grid's twin, with the parent's potential and tau1 arrays, and
-        tau1 transformed once, so a second solve at the same node makes one
-        FFT fewer than the first."""
+        tau1 and the coarse block's e^{2v} h^2 V each transformed once, so a
+        second solve at the same node makes two FFTs fewer than the first."""
         n = 256
         g = build_grid(n)
         spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
@@ -153,7 +169,7 @@ class TestBackends:
         assert twin.grid is spec.grid.five_point
         assert twin.potential.values is spec.conn.potential.values
         assert twin.kernel.tau1.values is spec.conn.kernel.tau1.values
-        assert counts[0] == counts[1] + 1
+        assert counts[0] == counts[1] + 2
 
     def test_unknown_backend(self, spec128):
         with pytest.raises(ValueError):
