@@ -24,7 +24,6 @@ from .geometry import (
     oneform_calculus,
     partial_derivatives,
     set_window,
-    solve_flat_poisson_raw,
     spectral_laplacian_plus,
     to_spectral,
     window,
@@ -334,11 +333,11 @@ def _hpd_inverse(A: np.ndarray) -> np.ndarray | None:
 def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
                       max_iter: int = PCG_MAX_ITER) -> tuple[np.ndarray, PCGInfo]:
     """Solve the flat-self-adjoint e^{2v} (Delta_g + V) x = b on the kernel
-    complement: directly when V = 0 (0 iterations), else by PCG in Fourier
-    space (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed., ch. 15).
-    Returns x and the PCGInfo; raises ConvergenceError short of tol.
-    conn.grid picks the discretization: `conn` for the spectral one,
-    `conn.five_point` for the 5-point one.
+    complement by PCG in Fourier space (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2nd ed., ch. 15), the zero connection included.  Returns x and
+    the PCGInfo; raises ConvergenceError short of tol.  conn.grid picks the
+    discretization: `conn` for the spectral one, `conn.five_point` for the
+    5-point one.
 
     The Krylov vectors are rfft2 coefficients masked by grid.mask (all ones
     on the 5-point twin, whose symbol grid.k2 is positive on the Nyquist
@@ -365,8 +364,6 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
     step ends it on pcg's own `non_finite` reason.
     """
     grid, V = conn.grid, conn.potential.values
-    if not V.any():
-        return solve_flat_poisson_raw(b - b.mean(), grid), PCGInfo("converged", 0, 0.0)
     deflate = conn.kernel.deflation()   # in place: only ever given pcg's temporaries
     B = deflate(to_spectral(b, grid))
     del b

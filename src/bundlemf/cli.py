@@ -1,8 +1,9 @@
 """Batch front door: config parsing, command dispatch, reproducible outputs.
 
 Every command writes a JSON summary (config hash, library versions, wall
-time, results) plus CSV artifacts into the output directory, also on
-numerical failure.  Exit codes: 0 success, 1 numerical failure, 2 usage
+time, results) plus its artifacts into the output directory, also on
+numerical failure: fields as .npy arrays beside a JSON sidecar, small tables
+as CSV.  Exit codes: 0 success, 1 numerical failure, 2 usage
 error.  Identical config and seed give bit-identical summaries up to the
 volatile keys "wall_time_s" and "timestamp".
 """
@@ -37,9 +38,8 @@ from .presets import (
     make_connection_form,
     make_h_field,
     make_v_field,
-    save_array_csv,
+    save_field,
     save_field_json,
-    save_scalar_csv,
 )
 from .sweep import blowup_diagnostics, peak, subcritical_sweep
 from .testfunctions import bubble_checks, build_Qk, moser_family, qk_audit, tm_probe
@@ -210,8 +210,8 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     except FloatingPointError as exc:
         raise NumericalFailure(f"minimization left the floating-point range: {exc}",
                                {"warnings": [str(w.message) for w in caught]}) from exc
-    save_scalar_csv(res.u, str(outdir / "minimizer.csv"), cfg.v_preset)
-    save_field_json(str(outdir / "minimizer.json"), "minimizer.csv", "scalar",
+    save_field(res.u, outdir / "minimizer.npy")
+    save_field_json(str(outdir / "minimizer.json"), "minimizer.npy", "scalar",
                     cfg.n, cfg.v_preset)
     # below 1 the bubble is narrower than the grid spacing: a grid artifact
     r_over_h = (peak(res.u, spec.rho, spec, res.mu)[3] / spec.grid.h
@@ -221,7 +221,7 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
            "converged": res.converged, "max_u": float(res.u.values.max()),
            "r_scale_over_h": r_over_h,
            "grid_resolved": None if r_over_h is None else bool(r_over_h >= 1.0),
-           "warnings": [str(w.message) for w in caught], "field_csv": "minimizer.csv"}
+           "warnings": [str(w.message) for w in caught], "field_file": "minimizer.npy"}
     if not res.converged:
         raise NumericalFailure("minimization did not converge", out)
     return out
@@ -264,15 +264,15 @@ def cmd_green(cfg: RunConfig, outdir) -> dict:
     with _raising("the Green solve"):
         gd = solve_green(cfg.p, spec, backend=cfg.backend)
         lam = critical_value(gd, spec)
-    save_scalar_csv(gd.G, str(outdir / "green_field.csv"), cfg.v_preset)
-    save_field_json(str(outdir / "green_field.json"), "green_field.csv",
+    save_field(gd.G, outdir / "green_field.npy")
+    save_field_json(str(outdir / "green_field.json"), "green_field.npy",
                     "scalar", cfg.n, cfg.v_preset)
-    save_scalar_csv(gd.eta, str(outdir / "green_eta.csv"), cfg.v_preset)
+    save_field(gd.eta, outdir / "green_eta.npy")
     return {"A_p": gd.A_p, "lambda1": gd.lambda1, "meanG": gd.meanG,
             "Lambda": lam, "residual": gd.residual, "backend": gd.backend,
             "pcg_iterations": gd.pcg_iterations,
-            "p": list(gd.p), "field_csv": "green_field.csv",
-            "eta_csv": "green_eta.csv"}
+            "p": list(gd.p), "field_file": "green_field.npy",
+            "eta_file": "green_eta.npy"}
 
 
 def cmd_critmap(cfg: RunConfig, outdir) -> dict:
@@ -282,7 +282,7 @@ def cmd_critmap(cfg: RunConfig, outdir) -> dict:
             out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    save_array_csv(out["values"], outdir / "critmap.csv")
+    np.savetxt(outdir / "critmap.csv", out["values"], fmt="%.17g", delimiter=",")
     out = dict(out)
     out["values"] = None
     out["map_csv"] = "critmap.csv"
@@ -329,10 +329,10 @@ def cmd_qk(cfg: RunConfig, outdir) -> dict:
             raise UsageError(str(exc)) from exc
         report = qk_audit(fam, spec)
     report["pcg_iterations"] = fam.greendata.pcg_iterations
-    save_scalar_csv(fam.field, str(outdir / "qk_field.csv"), cfg.v_preset)
-    save_field_json(str(outdir / "qk_field.json"), "qk_field.csv", "scalar",
+    save_field(fam.field, outdir / "qk_field.npy")
+    save_field_json(str(outdir / "qk_field.json"), "qk_field.npy", "scalar",
                     cfg.n, cfg.v_preset)
-    report["field_csv"] = "qk_field.csv"
+    report["field_file"] = "qk_field.npy"
     return report
 
 

@@ -325,15 +325,6 @@ def _nyquist_free_inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(2.0 * np.vdot(a, b).real - np.vdot(a[:, 0], b[:, 0]).real)
 
 
-def solve_flat_poisson_raw(f: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Solve positive flat Laplacian w = f with zero-mean gauge.
-
-    The flat mean of f must vanish; the mean component is simply dropped,
-    which the callers guarantee by projection.
-    """
-    return fourier_multiply(f, pseudo_inverse(grid.k2))
-
-
 # ---------------------------------------------------------------------------
 # auxiliary constructions
 # ---------------------------------------------------------------------------

@@ -2,10 +2,9 @@ import contextlib
 import functools
 import io
 import json
-import math
+import pickle
 import re
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,14 +13,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bundlemf import ScalarField, build_grid, bundle, green
+from bundlemf import ScalarField, build_grid, bundle, cli, green
 from bundlemf.cli import RunConfig, build_problem, config_hash, load_config, main
 from bundlemf.presets import (
+    load_field,
     make_connection_form,
     make_h_field,
     make_v_field,
-    save_oneform_csv,
-    save_scalar_csv,
+    save_field,
+    save_field_json,
 )
 
 from conftest import count_fft_calls, fresh_python, traced_peak
@@ -52,7 +52,8 @@ class TestCommands:
         assert run(tmp_path, ["minimize", "--n", "32", "--rho", "6.0"]) == 0
         s = read_summary(tmp_path, "minimize")
         assert s["results"]["converged"]
-        assert (tmp_path / "minimizer.csv").exists()
+        assert s["results"]["field_file"] == "minimizer.npy"
+        assert load_field(str(tmp_path / "minimizer.npy"), 32).shape == (32, 32)
 
     def test_minimize_rho_zero(self, tmp_path):
         assert run(tmp_path, ["minimize", "--n", "32", "--rho", "0.0"]) == 0
@@ -76,7 +77,12 @@ class TestCommands:
         s = read_summary(tmp_path, "green")
         for key in ("A_p", "lambda1", "meanG", "Lambda", "residual"):
             assert key in s["results"]
-        assert (tmp_path / "green_field.csv").exists()
+        assert (s["results"]["field_file"], s["results"]["eta_file"]) == (
+            "green_field.npy", "green_eta.npy")
+        for name in ("green_field.npy", "green_eta.npy"):
+            assert load_field(str(tmp_path / name), 64).shape == (64, 64)
+        assert json.loads((tmp_path / "green_field.json").read_text()) == {
+            "kind": "scalar", "n": 64, "v_preset": "zero", "file": "green_field.npy"}
 
     def test_critmap(self, tmp_path):
         assert run(tmp_path, ["critmap", "--n", "32", "--stride", "16"]) == 0
@@ -106,7 +112,8 @@ class TestCommands:
         assert run(tmp_path, ["qk", "--n", "64", "--k", "64"]) == 0
         s = read_summary(tmp_path, "qk")
         assert np.isfinite(s["results"]["gap"])
-        assert (tmp_path / "qk_field.csv").exists()
+        assert s["results"]["field_file"] == "qk_field.npy"
+        assert load_field(str(tmp_path / "qk_field.npy"), 64).shape == (64, 64)
 
     def test_sweep(self, tmp_path):
         assert run(tmp_path, ["sweep", "--n", "32", "--kmax", "4"]) == 0
@@ -140,16 +147,14 @@ class TestMemory:
         assert read_summary(tmp_path, "qk")["status"] == "ok"
         assert peak <= 17.5 * 8 * n * n
 
-
-    def test_csv_writer_peak(self, tmp_path):
-        """save_scalar_csv formats a row chunk of at most 1/32 of the field
-        at a time, so it adds about one n x n array at n = 256 (1.06
-        measured) and never raises the peak of the command that calls it."""
+    def test_field_writer_peak(self, tmp_path):
+        """save_field writes the read-only field as it lies in memory, without
+        a copy: under a tenth of an n x n array at n = 256."""
         n = 256
         x = np.arange(n) / n
         u = ScalarField(np.sin(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x))
-        peak = traced_peak(lambda: save_scalar_csv(u, str(tmp_path / "u.csv")))
-        assert peak <= 1.25 * 8 * n * n
+        peak = traced_peak(lambda: save_field(u, tmp_path / "u.npy"))
+        assert peak <= 0.1 * 8 * n * n
 
 
 class TestSetup:
@@ -415,21 +420,50 @@ class TestRandomConfigs:
         assert "Traceback" not in err
 
 
+def npy_bytes(a, **kwargs):
+    """The bytes np.save writes for a."""
+    fh = io.BytesIO()
+    np.save(fh, a, **kwargs)
+    return fh.getvalue()
+
+
+def npz_bytes(a):
+    fh = io.BytesIO()
+    np.savez(fh, a=a)
+    return fh.getvalue()
+
+
+# a file that a preset expecting an array of `shape` must refuse, by case
+BAD_FILES = {
+    "empty": lambda shape: b"",
+    "truncated": lambda shape: npy_bytes(np.ones(shape))[:-8],
+    "csv": lambda shape: b"n,v-preset\n16,zero\n" + b"1,1\n" * 16,
+    "object": lambda shape: npy_bytes(np.full(shape, None), allow_pickle=True),
+    "pickled": lambda shape: pickle.dumps(np.ones(shape)),
+    "npz": lambda shape: npz_bytes(np.ones(shape)),
+    "float32": lambda shape: npy_bytes(np.ones(shape, np.float32)),
+    "int64": lambda shape: npy_bytes(np.ones(shape, np.int64)),
+    "ndim": lambda shape: npy_bytes(np.ones(shape[1:])),
+    "not-square": lambda shape: npy_bytes(np.ones(shape[:-1] + (8,))),
+    "other-n": lambda shape: npy_bytes(np.ones(shape[:-2] + (32, 32))),
+}
+
+
 class TestFilePresets:
     def test_file_presets_match_builtins(self, tmp_path):
-        # the CSV round trip is exact (%.17g), so fields read back from files
-        # must give the built-in presets' results bit for bit
+        # the .npy round trip is exact, so fields read back from files must
+        # give the built-in presets' results bit for bit
         n = 32
         v = make_v_field("cos-x:0.05", n)
-        save_scalar_csv(v, str(tmp_path / "v.csv"))
-        save_oneform_csv(make_connection_form("exact:cos-x:0.3", build_grid(n, v)),
-                         str(tmp_path / "w.csv"))
-        save_scalar_csv(make_h_field("exp-cos:1.0", n), str(tmp_path / "h.csv"))
+        save_field(v, tmp_path / "v.npy")
+        w = make_connection_form("exact:cos-x:0.3", build_grid(n, v))
+        np.save(tmp_path / "w.npy", np.stack([w.c1, w.c2]))
+        save_field(make_h_field("exp-cos:1.0", n), tmp_path / "h.npy")
         results = []
         for name, presets in (("builtin", ("cos-x:0.05", "exact:cos-x:0.3", "exp-cos:1.0")),
-                              ("file", (f"custom-file:{tmp_path / 'v.csv'}",
-                                        f"file:{tmp_path / 'w.csv'}",
-                                        f"file:{tmp_path / 'h.csv'}"))):
+                              ("file", (f"custom-file:{tmp_path / 'v.npy'}",
+                                        f"file:{tmp_path / 'w.npy'}",
+                                        f"file:{tmp_path / 'h.npy'}"))):
             out = tmp_path / name
             argv = ["minimize", "--n", str(n), "--v-preset", presets[0],
                     "--connection", presets[1], "--h-preset", presets[2]]
@@ -440,19 +474,24 @@ class TestFilePresets:
     def test_h_file_with_zero_is_usage_error(self, tmp_path, capsys):
         h = np.ones((16, 16))
         h[3, 5] = 0.0
-        save_scalar_csv(ScalarField(h), str(tmp_path / "h.csv"))
+        save_field(ScalarField(h), tmp_path / "h.npy")
         assert run(tmp_path, ["minimize", "--n", "16",
-                              "--h-preset", f"file:{tmp_path / 'h.csv'}"]) == 2
+                              "--h-preset", f"file:{tmp_path / 'h.npy'}"]) == 2
         assert "strictly positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["n,v-preset\nabc,zero\n1\n",
-                                      "n,v-preset\n16,zero\n1,x\n"],
-                             ids=["bad-size", "bad-value"])
-    def test_unparsable_file_names_it(self, tmp_path, capsys, text):
-        path = tmp_path / "v.csv"
-        path.write_text(text)
-        assert run(tmp_path, ["minimize", "--n", "16", "--v-preset", f"custom-file:{path}"]) == 2
-        assert f"error: {path}: " in capsys.readouterr().err
+    @pytest.mark.parametrize("case", BAD_FILES)
+    @pytest.mark.parametrize("flag, prefix, shape", [
+        ("--v-preset", "custom-file:", (16, 16)),
+        ("--connection", "file:", (2, 16, 16)),
+        ("--h-preset", "file:", (16, 16))], ids=["v", "connection", "h"])
+    def test_bad_file_names_it(self, tmp_path, capsys, flag, prefix, shape, case):
+        """A file that is not a float64 .npy array of the preset's shape, at
+        --n, is a usage error (exit 2) naming the file."""
+        path = tmp_path / "field.npy"
+        path.write_bytes(BAD_FILES[case](shape))
+        assert run(tmp_path, ["minimize", "--n", "16", flag, f"{prefix}{path}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 class TestConfig:
@@ -512,9 +551,9 @@ def stacked_fields(components):
 
 
 def extremes(components):
-    """Largest, smallest and subnormal doubles of both signs, tiled."""
+    """Largest, smallest and subnormal doubles of both signs and -0.0, tiled."""
     vals = np.array([np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324,
-                     np.finfo(float).tiny, -1e300, 0.1, -2.0 / 3.0])
+                     np.finfo(float).tiny, -1e300, 0.1, -2.0 / 3.0, -0.0])
     return np.resize(vals, (components, 16, 16))
 
 
@@ -522,152 +561,45 @@ def extremes(components):
 roundtrip = settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-def savetxt_bytes(values):
-    """The oracle: what np.savetxt writes for values."""
-    fh = io.StringIO()
-    np.savetxt(fh, values, delimiter=",", fmt="%.17g")
-    return fh.getvalue().encode()
-
-
-def writer_bytes(values):
-    """The field writer's text for values, and its count of values left to
-    Python's formatting."""
-    from bundlemf.presets import _write_rows
-
-    fh = io.BytesIO()
-    fallbacks = _write_rows(fh, values)
-    return fh.getvalue(), fallbacks
-
-
-def exact_ties():
-    """Doubles x = M 2**(E - 17), M odd, in [10**E, 10**(E + 1)): x
-    10**(16 - E) = M 5**(16 - E) / 2 ends in exactly one half, which "%.17g"
-    rounds to even.  The first is 2**-25 -> 2.9802322387695312e-08."""
-    ties = []
-    for e in range(-8, 12):
-        least = math.ceil(2 ** 17 * Fraction(5) ** e) | 1     # x >= 10**E
-        for m in (least, least + 2, least + 6):
-            x = m * 2.0 ** (e - 17)
-            if x < 10.0 ** (e + 1):
-                ties.append(x)
-    return np.array(ties)
-
-
-def text_examples():
-    """Signed zeros, subnormals and extremes, the powers of two 2**-25 ..
-    2**-60, powers of ten and their neighbours, the fixed/exponential
-    switches of %g, integers from 1e17 up, nextafter(1, 0), and doubles just
-    below a power of ten that round up to it (1e-14 among the powers)."""
-    fin = np.finfo(float)
-    pow10 = 10.0 ** np.arange(-30, 31)
-    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
-    vals = np.concatenate([
-        [0.0, -0.0, 5e-324, -5e-324, fin.tiny, fin.max, -fin.max],
-        2.0 ** -np.arange(25, 61),
-        pow10, np.nextafter(pow10, 0), np.nextafter(pow10, np.inf),
-        switch, np.nextafter(switch, 0), np.nextafter(switch, np.inf),
-        [1e17 + 16, 123456789012345678.0, 2.0 ** 57, 2.0 ** 60 + 2 ** 9, 9.87e21, 1e22,
-         1e23, -4.2e25, 2.0 ** 70],
-        [np.nextafter(1.0, 0), -np.nextafter(1.0, 0), 0.1, -2.0 / 3.0, 1e-280, 1e280,
-         -1.234e-150, 7.5e299],
-        [1e-79, -1e98, 1e153],    # below 10**k, yet "%.17g" carries to "1e..."
-    ])
-    return np.resize(vals, (len(vals) // 8 + 1, 8))
-
-
 class TestCsvText:
-    """The vectorized writer emits the bytes of np.savetxt(fmt="%.17g")."""
-
-    @given(a=st.tuples(st.integers(1, 6), st.integers(1, 9)).flatmap(lambda shape: hnp.arrays(
-        np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False))))
-    def test_any_finite_doubles(self, a):
-        assert writer_bytes(a)[0] == savetxt_bytes(a)
-
-    def test_examples(self):
-        a = text_examples()
-        assert writer_bytes(a)[0] == savetxt_bytes(a)
-        assert writer_bytes(a.reshape(-1, 1))[0] == savetxt_bytes(a.reshape(-1, 1))
-
-    def test_ties_fall_back(self):
-        ties = exact_ties()
-        assert len(ties) >= 40
-        text, fallbacks = writer_bytes(ties.reshape(1, -1))
-        assert text == savetxt_bytes(ties.reshape(1, -1))
-        assert text.startswith(b"2.9802322387695312e-08,")
-        assert fallbacks == len(ties)
-
-    def test_smooth_field_needs_no_fallback(self):
-        x = np.arange(256) / 256
-        field = 3.7 * np.sin(2 * np.pi * x)[:, None] * np.cos(2 * np.pi * x) + 0.2
-        text, fallbacks = writer_bytes(field)
-        assert fallbacks == 0
-        assert text == savetxt_bytes(field)
-
-    def test_non_finite_as_before(self, tmp_path):
-        """critmap's values are not validated: nan and inf print as before."""
-        from bundlemf.presets import save_array_csv
-
+    def test_non_finite_as_before(self, tmp_path, monkeypatch):
+        """critmap's values are not validated: its CSV holds the bytes of
+        np.savetxt(fmt="%.17g", delimiter=","), nan and inf included."""
         a = np.array([[np.nan, 1.5, -np.inf], [np.inf, -0.0, -np.nan]])
-        save_array_csv(a, tmp_path / "map.csv")
+        monkeypatch.setattr(cli, "critical_value_map", lambda spec, stride, backend: {
+            "values": a})
+        assert run(tmp_path, ["critmap", "--n", "16"]) == 0
         np.savetxt(tmp_path / "ref.csv", a, delimiter=",", fmt="%.17g")
-        assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-        assert writer_bytes(a)[1] == 4
+        assert (tmp_path / "critmap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestFieldIO:
+    """Fields round-trip bit for bit (-0.0 included) through .npy and the
+    file presets."""
+
     @roundtrip
     @given(a=stacked_fields(1))
     @example(a=extremes(1))
     def test_scalar_roundtrip(self, tmp_path, a):
-        from bundlemf import ScalarField
-        from bundlemf.presets import load_scalar_csv, save_scalar_csv
-
         u = ScalarField(a[0])
-        path = tmp_path / "field.csv"
-        save_scalar_csv(u, str(path), "zero")
-        back = load_scalar_csv(str(path), expected_n=u.n)
-        # bit patterns, so that -0.0 written as "0" fails
+        path = tmp_path / "field.npy"
+        save_field(u, path)
+        back = make_v_field(f"custom-file:{path}", u.n)
         assert np.array_equal(back.values.view(np.int64), u.values.view(np.int64))
 
     @roundtrip
     @given(a=stacked_fields(2))
     @example(a=extremes(2))
     def test_oneform_roundtrip(self, tmp_path, a):
-        from bundlemf import OneForm
-        from bundlemf.presets import load_oneform_csv, save_oneform_csv
-
-        w = OneForm(a[0], a[1])
-        path = tmp_path / "form.csv"
-        save_oneform_csv(w, str(path))
-        back = load_oneform_csv(str(path), expected_n=w.n)
-        assert np.array_equal(back.c1.view(np.int64), w.c1.view(np.int64))
-        assert np.array_equal(back.c2.view(np.int64), w.c2.view(np.int64))
-
-    def test_oneform_bytes(self, tmp_path):
-        """c1's rows then c2's, as np.savetxt wrote the stacked payload."""
-        from bundlemf import OneForm
-        from bundlemf.presets import save_oneform_csv
-
-        rng = np.random.default_rng(3)
-        w = OneForm(rng.standard_normal((16, 16)), -rng.random((16, 16)) * 1e-7)
-        path = tmp_path / "form.csv"
-        save_oneform_csv(w, str(path), "cos-x:0.3")
-        assert path.read_bytes() == b"n,v-preset\n16,cos-x:0.3\n" + savetxt_bytes(
-            np.vstack([w.c1, w.c2]))
-
-    def test_header_validated(self, tmp_path):
-        from bundlemf.presets import load_scalar_csv
-
-        path = tmp_path / "bad.csv"
-        path.write_text("wrong,header\n32,zero\n")
-        with pytest.raises(ValueError):
-            load_scalar_csv(str(path))
+        path = tmp_path / "form.npy"
+        np.save(path, a)
+        back = make_connection_form(f"file:{path}", build_grid(a.shape[-1]))
+        assert np.array_equal(back.c1.view(np.int64), a[0].view(np.int64))
+        assert np.array_equal(back.c2.view(np.int64), a[1].view(np.int64))
 
     def test_json_descriptor(self, tmp_path):
-        from bundlemf.presets import save_field_json
-
-        save_field_json(str(tmp_path / "d.json"), str(tmp_path / "f.csv"),
+        save_field_json(str(tmp_path / "d.json"), str(tmp_path / "f.npy"),
                         "scalar", 32, "zero")
         desc = json.loads((tmp_path / "d.json").read_text())
         assert desc == {"kind": "scalar", "n": 32, "v_preset": "zero",
-                        "csv": "f.csv"}
+                        "file": "f.npy"}

@@ -171,6 +171,21 @@ class TestBackends:
         assert twin.kernel.tau1.values is spec.conn.kernel.tau1.values
         assert counts[0] == counts[1] + 2
 
+    def test_zero_connection_on_the_one_poisson_path(self):
+        """The zero connection is solved by the same masked PCG as any other,
+        so a connection 1e-6 away gives the same Lambda at n = 128 (to 3e-11;
+        6.5e-3 apart when V = 0 had a direct solve keeping the Nyquist column)."""
+        n = 128
+        g = build_grid(n)
+        lam = []
+        for connection in ("zero", "exact:cos-x:1e-6"):
+            spec = ProblemSpec(make_connection(make_connection_form(connection, g), g),
+                               ones_field(n), RHO8)
+            gd = solve_green((n // 4, n // 8), spec)
+            assert gd.pcg_iterations > 0
+            lam.append(critical_value(gd, spec))
+        assert abs(lam[0] - lam[1]) <= 1e-9
+
     def test_unknown_backend(self, spec128):
         with pytest.raises(ValueError):
             solve_green((0, 0), spec128, backend="magic")
