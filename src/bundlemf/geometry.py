@@ -329,14 +329,33 @@ def _nyquist_free_inner(a: np.ndarray, b: np.ndarray) -> float:
 # auxiliary constructions
 # ---------------------------------------------------------------------------
 
+def _wrapped(x: np.ndarray, c: float) -> np.ndarray:
+    """|x - c| with the periodic minimum-image convention on [0, 1)."""
+    d = np.abs(x - c)
+    return np.minimum(d, 1.0 - d)
+
+
 def torus_distance(grid: TorusGrid, p) -> np.ndarray:
     """Euclidean distance to node p with the periodic minimum-image convention."""
     px, py = grid.node_coords(p)
-    dx = np.abs(grid.x[:, None] - px)
-    dx = np.minimum(dx, 1.0 - dx)
-    dy = np.abs(grid.x[None, :] - py)
-    dy = np.minimum(dy, 1.0 - dy)
-    return np.hypot(dx, dy)
+    return np.hypot(_wrapped(grid.x, px)[:, None], _wrapped(grid.x, py)[None, :])
+
+
+def torus_box(grid: TorusGrid, p, radius: float):
+    """The nodes within `radius` of node p in each coordinate, as an np.ix_
+    index with p at its centre (m, m), m = side // 2, and torus_distance on
+    them, bit for bit.  As n is a power of two the distance depends on the
+    offsets from p alone, so it is the same array for every p.  Once
+    ceil(radius n) >= n/2 the box is the whole torus, rolled: n indices per
+    axis, each once."""
+    n = grid.n
+    m = int(np.ceil(radius * n))
+    offsets = np.arange(-(n // 2), n // 2) if 2 * m >= n else np.arange(-m, m + 1)
+    i, j = int(p[0]) % n, int(p[1]) % n
+    rows, cols = (i + offsets) % n, (j + offsets) % n
+    r = np.hypot(_wrapped(grid.x[rows], grid.x[i])[:, None],
+                 _wrapped(grid.x[cols], grid.x[j])[None, :])
+    return np.ix_(rows, cols), r
 
 
 def random_band_limited(grid: TorusGrid, rng: np.random.Generator,

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bundle import solve_symmetrized
 from .functional import ProblemSpec
-from .geometry import ScalarField, torus_distance
+from .geometry import ScalarField, torus_box, torus_distance
 
 BACKENDS = ("spectral", "fd")   # the two discretizations of the smooth solve
 CUTOFF_RADIUS = 0.125
@@ -148,8 +148,11 @@ def _solve_smooth(rhs: list, spec: ProblemSpec, backend: str) -> tuple[np.ndarra
 
 def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
                 solvability_tol: float = 1e-8) -> GreenData:
-    """Green section at grid node p = (i, j).  Through the smooth solve it
-    holds one n x n array, the log field s: log r is formed again after it."""
+    """Green section at grid node p = (i, j).  The log field s and the
+    commutator field m vanish from r = 2 CUTOFF_RADIUS = 1/4 on, so they,
+    their moments and the shell correction are formed on the box of that
+    radius around p (geometry.torus_box), about a quarter of the nodes;
+    through the smooth solve the Green solve holds s alone beside it."""
     g = spec.grid
     if float(p[0]) != int(p[0]) or float(p[1]) != int(p[1]):
         raise ValueError(f"p must be a grid node (integer pair), got {p}")
@@ -157,7 +160,8 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
 
-    r = torus_distance(g, (i, j))
+    box, r = torus_box(g, (i, j), 2.0 * CUTOFF_RADIUS)
+    c = r.shape[0] // 2                   # p in box coordinates: (c, c)
     s = -4.0 * cutoff(r)                  # times log r below: the log field
     rr = np.where(r > 0.0, r, 1.0)
     L = np.log(rr)
@@ -182,21 +186,27 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
 
     # same treatment for the log field: the singular node carries the mass
     # defect and its 4-neighbour shell the second-moment defect
-    shell = [((i + 1) % g.n, j), ((i - 1) % g.n, j),
-             ((i, (j + 1) % g.n)), ((i, (j - 1) % g.n))]
+    shell = [(c + 1, c), (c - 1, c), (c, c + 1), (c, c - 1)]
     m2_s = float(sum(s[a, b] for a, b in shell)) * g.h**2 * g.h**2
     m2_rest = float((s * r**2).sum()) * g.h**2 - m2_s
     d_shell = (log2 - m2_rest) / (4.0 * g.h**4) \
         - float(np.mean([s[a, b] for a, b in shell]))
     for a, b in shell:
         s[a, b] += d_shell
-    mass_rest = (s.sum() - s[i, j]) * g.h**2
-    s[i, j] = (log0 - mass_rest) / g.h**2
+    mass_rest = (s.sum() - s[c, c]) * g.h**2
+    s[c, c] = (log0 - mass_rest) / g.h**2
+    del r
+
+    # off the box m = s = 0, where f is -8 pi/|Sigma| to the bit
+    f = np.full((g.n, g.n), -8.0 * np.pi / g.total_area)
+    m /= g.area_element[box] / g.h**2     # e^{2v} on the box
+    m -= 8.0 * np.pi / g.total_area
+    m -= spec.conn.potential.values[box] * s
+    f[box] = m
+    del m
 
     kb = spec.conn.kernel
     area = g.area_element
-    f = m / g.exp2v - 8.0 * np.pi / g.total_area - spec.conn.potential.values * s
-    del r, m
     lambda1 = residual = 0.0
     if kb.dim == 1:
         t1 = kb.tau1.values
@@ -213,8 +223,10 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     w, iterations = _solve_smooth(rhs, spec, backend)
 
     vp = float(g.v.values[i, j])
-    G = s + w
-    G[i, j] = w[i, j] + 4.0 * vp          # regular limit stored at p
+    w_p = float(w[i, j])                  # read before s is added: G is w
+    G = w
+    G[box] += s
+    G[i, j] = w_p + 4.0 * vp              # regular limit stored at p
     del s, w
     kb.remove(G)
     A_p = float(G[i, j])

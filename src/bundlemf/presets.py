@@ -18,7 +18,7 @@ import os
 
 import numpy as np
 
-from .geometry import OneForm, ScalarField, TorusGrid, exterior_derivative
+from .geometry import OneForm, ScalarField, TorusGrid
 
 
 def _cos_x(amp: float, n: int) -> np.ndarray:
@@ -60,9 +60,10 @@ def make_connection_form(preset: str, grid: TorusGrid) -> OneForm:
             raise ValueError(f"preset {preset!r}: expected 'harmonic:a,b'")
         a, b = (_number(preset, t) for t in ab)
         return OneForm(np.full((n, n), a), np.full((n, n), b))
-    if preset.startswith("exact:cos-x:"):
+    if preset.startswith("exact:cos-x:"):   # d(amp cos 2 pi x), in closed form
         amp = _number(preset, preset.split(":", 2)[2])
-        return exterior_derivative(ScalarField(_cos_x(amp, n) * np.ones((1, n))), grid)
+        c1 = -2.0 * np.pi * amp * np.sin(2.0 * np.pi * grid.x)[:, None] * np.ones((1, n))
+        return OneForm(c1, np.zeros((n, n)))
     if preset.startswith("file:"):
         return OneForm(*load_field(preset.split(":", 1)[1], n, oneform=True))
     raise ValueError(f"unknown connection preset {preset!r}")
@@ -91,23 +92,25 @@ def save_field(field: ScalarField, path) -> None:
     np.save(path, field.values)
 
 
-def load_field(path: str, n: int, oneform: bool = False) -> np.ndarray:
-    """The float64 array of a .npy file: (n, n) for a scalar field, (2, n, n),
-    c1 then c2, for a one-form; a ValueError naming the file otherwise."""
+def load_field(path: str, n: int, oneform: bool = False):
+    """The float64 field of a .npy file: an (n, n) array for a scalar field,
+    and c1, c2 from a (2, n, n) array for a one-form, each read into an array
+    that owns its data, so the field wrapping it keeps it without a copy; a
+    ValueError naming the file otherwise."""
     lead, kind, want = (((2,), "one-form", "(2, n, n)") if oneform
                         else ((), "scalar field", "(n, n)"))
-    with open(path, "rb") as fh:
-        try:   # the .npy reader alone: no .npz archive, no pickle
-            a = np.lib.format.read_array(fh, allow_pickle=False)
-        except ValueError as exc:
-            raise ValueError(f"{path}: not a .npy array: {exc}") from exc
+    try:   # the .npy format alone, mapped: no .npz archive, no pickle
+        a = np.lib.format.open_memmap(path, mode="r")
+    except (ValueError, OverflowError) as exc:   # OverflowError: a negative length
+        raise ValueError(f"{path}: not a .npy array: {exc}") from exc
     if a.dtype != np.float64:
         raise ValueError(f"{path}: dtype {a.dtype}, expected float64")
     if a.ndim != len(lead) + 2 or a.shape[:-2] != lead or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{path}: shape {a.shape}, expected a {kind} of shape {want}")
     if a.shape[-1] != n:
         raise ValueError(f"{path}: {kind} size {a.shape[-1]} does not match grid size {n}")
-    return a
+    # np.array copies out of the map into a C-ordered ndarray of its own
+    return tuple(np.array(c, order="C") for c in a) if oneform else np.array(a, order="C")
 
 
 def save_field_json(path_json: str, path_file: str, kind: str, n: int, v_preset: str) -> None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .bundle import bundle_energy, project_H1
 from .functional import EXP_GUARD, ProblemSpec, evaluate_J, log_mass
-from .geometry import ScalarField, TorusGrid, torus_distance
+from .geometry import ScalarField, TorusGrid, torus_box, torus_distance
 from .green import GreenData, critical_value, solve_green
 
 
@@ -221,14 +221,19 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     if gd is None:
         gd = solve_green(p, spec)
     i, j = gd.p
-    r = torus_distance(g, (i, j))
     c = 2.0 * np.log1p(R * R / 8.0) - 4.0 * np.log(R) + 4.0 * np.log(k) + gd.A_p
 
-    q = _qk_ramp(r, R / k)                # G - ramp eta, then the cap, in place
-    q *= gd.eta.values
-    np.subtract(gd.G.values, q, out=q)
+    # the ramp vanishes from r = 2R/k on, where q is G: G - ramp eta, then
+    # the cap, are written on the box of that radius (the torus at k = 16)
+    box, r = torus_box(g, (i, j), 2.0 * R / k)
+    qb = _qk_ramp(r, R / k)
+    qb *= gd.eta.values[box]
+    np.subtract(gd.G.values[box], qb, out=qb)
     cap = r <= R / k
-    q[cap] = bubble_cap(c, k, r[cap])
+    qb[cap] = bubble_cap(c, k, r[cap])
+    q = gd.G.values.copy()
+    q[box] = qb
+    del qb, r
     shift = spec.conn.kernel.remove(q)    # projected onto H1
     return QkFamily(p=(i, j), k=k, R=R, c=c, field=ScalarField(q),
                     greendata=gd, shift=shift)
@@ -297,11 +302,15 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     jval = evaluate_J(fam.field, spec8, energy)
     lam = critical_value(gd, spec)
 
-    r = torus_distance(g, fam.p)
+    # the ring, the cap and the cap cells' forward neighbours lie within
+    # R/k + h of p in each coordinate, so on the box of radius R/k + 2h the
+    # masked energy's roll wraps no cap cell
+    box, r = torus_box(g, fam.p, fam.R / fam.k + 2.0 * g.h)
     ring = np.abs(r - fam.R / fam.k) <= g.h
+    G, eta = gd.G.values[box][ring], gd.eta.values[box][ring]
     jump = float(np.max(np.abs(
         bubble_cap(fam.c, fam.k, r[ring])
-        - (gd.G.values[ring] - _qk_ramp(r[ring], fam.R / fam.k) * gd.eta.values[ring]))))
+        - (G - _qk_ramp(r[ring], fam.R / fam.k) * eta))))
 
     # build_Qk wrote the cap itself on the cells where this reads the profile
     cap = r <= fam.R / fam.k

@@ -27,6 +27,8 @@ from bundlemf.geometry import (
     oneform_calculus,
     random_band_limited,
     set_window,
+    torus_box,
+    torus_distance,
     window,
 )
 
@@ -265,6 +267,44 @@ class TestLaplacian:
         flat = np.fft.irfft2(g.k2 * np.fft.rfft2(u.values), s=(n, n))
         expected = flat / np.exp(2 * g.v.values)
         assert np.max(np.abs(laplacian(u, g).values - expected)) < 1e-12
+
+
+class TestTorusBox:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    def test_distance_is_torus_distance_on_the_box(self, n):
+        """Bit for bit, at the origin, on the edges and at the wrap nodes,
+        and the same array for every p."""
+        g = build_grid(n)
+        ps = [(0, 0), (0, n // 2), (n - 1, 3), (5, n - 1), (n // 2, n // 2),
+              (n - 2, n - 3), (17, 1)]
+        _, r0 = torus_box(g, ps[0], 0.25)
+        assert r0.shape == (n // 2 + 1, n // 2 + 1)
+        for p in ps:
+            box, r = torus_box(g, p, 0.25)
+            d = torus_distance(g, p)
+            assert np.array_equal(r, d[box])
+            assert np.array_equal(r, r0)
+            assert r[n // 4, n // 4] == 0.0     # p at the centre
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_distance_exceeds_radius_off_the_box(self, n):
+        g = build_grid(n)
+        for p in [(0, 0), (n - 1, 7), (n // 2, 1)]:
+            box, _ = torus_box(g, p, 0.25)
+            off = np.ones((n, n), dtype=bool)
+            off[box] = False
+            assert np.all(torus_distance(g, p)[off] > 0.25)
+
+    @pytest.mark.parametrize("radius", [0.5, 0.6, 2.0])
+    def test_large_radius_is_the_whole_torus_once(self, radius):
+        n = 64
+        g = build_grid(n)
+        box, r = torus_box(g, (3, n - 2), radius)
+        rows, cols = box
+        assert r.shape == (n, n)
+        assert sorted(rows.ravel()) == list(range(n))
+        assert sorted(cols.ravel()) == list(range(n))
+        assert np.array_equal(r, torus_distance(g, (3, n - 2))[box])
 
 
 class TestInvariants:

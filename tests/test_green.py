@@ -342,13 +342,13 @@ class TestCriticalValueMap:
 class TestMemory:
     def test_green_solve_peak(self):
         """The traced peak of one spectral Green solve, exact:cos-x:0.3 at
-        n = 256, stays at or below 8 n x n float64 arrays (7.0 measured, in
-        the assembly; the smooth solve holds 6); the ratio is the same at
-        n = 1024."""
+        n = 256, stays at or below 6 n x n float64 arrays (5.56 measured:
+        the smooth solve beside the log field s, which lives on the box of
+        radius 1/4 around p, a quarter of the nodes)."""
         n = 256
         g = build_grid(n)
         spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
-        assert traced_peak(lambda: solve_green((3, 5), spec)) <= 8 * 8 * n * n
+        assert traced_peak(lambda: solve_green((3, 5), spec)) <= 6 * 8 * n * n
 
 
 # the moments against 40-digit mpmath (tanh-sinh on the same integrands)

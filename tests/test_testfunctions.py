@@ -245,12 +245,13 @@ class TestQkInPlace:
         assert qk_audit(fam, spec)["bubble_energy"] == expected
 
     def test_build_peak(self, exact_spec256):
-        """Q_k is assembled in one n x n array besides the distance field and
-        the ramp's temporaries: at most 5 arrays at n = 256 (4.1 measured)."""
+        """Q_k is assembled in one n x n array, a copy of G, with the ramp
+        and the cap written on the box of radius 2R/k = 1/4 at k = 64: at
+        most 3 arrays at n = 256 (2.04 measured)."""
         spec = exact_spec256
         gd = solve_green((3, 5), spec)
         n = spec.grid.n
-        assert traced_peak(lambda: build_Qk((3, 5), 64, spec, gd)) <= 5 * 8 * n * n
+        assert traced_peak(lambda: build_Qk((3, 5), 64, spec, gd)) <= 3 * 8 * n * n
 
     def test_audit_peak(self, exact_spec256):
         """The audit's peak is the covariant energy, which squares each
