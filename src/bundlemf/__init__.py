@@ -42,7 +42,9 @@ from .testfunctions import (
     annulus_capacity_numeric,
     bubble_checks,
     build_Qk,
+    extrapolate_limit,
     moser_family,
+    plateau_integral,
     qk_audit,
     tm_probe,
 )
@@ -57,6 +59,6 @@ __all__ = [
     "GreenData", "SolvabilityError", "critical_value", "critical_value_map",
     "solve_green",
     "SweepRecord", "blowup_diagnostics", "subcritical_sweep", "window_profile",
-    "QkFamily", "annulus_capacity", "annulus_capacity_numeric", "bubble_checks",
-    "build_Qk", "moser_family", "qk_audit", "tm_probe",
+    "QkFamily", "annulus_capacity", "annulus_capacity_numeric", "bubble_checks", "build_Qk",
+    "extrapolate_limit", "moser_family", "plateau_integral", "qk_audit", "tm_probe",
 ]

@@ -32,7 +32,7 @@ from .functional import (
     log_mass,
     minimize,
 )
-from .geometry import build_grid, integrate, l2_inner, laplacian, random_band_limited
+from .geometry import ScalarField, build_grid, integrate, l2_inner, laplacian, random_band_limited
 from .green import BACKENDS, SolvabilityError, critical_value, critical_value_map, solve_green
 from .presets import (
     make_connection_form,
@@ -264,10 +264,11 @@ def cmd_green(cfg: RunConfig, outdir) -> dict:
     with _raising("the Green solve"):
         gd = solve_green(cfg.p, spec, backend=cfg.backend)
         lam = critical_value(gd, spec)
+        eta = gd.remainder(spec)
     save_field(gd.G, outdir / "green_field.npy")
     save_field_json(str(outdir / "green_field.json"), "green_field.npy",
                     "scalar", cfg.n, cfg.v_preset)
-    save_field(gd.eta, outdir / "green_eta.npy")
+    save_field(ScalarField(eta), outdir / "green_eta.npy")
     return {"A_p": gd.A_p, "lambda1": gd.lambda1, "meanG": gd.meanG,
             "Lambda": lam, "residual": gd.residual, "backend": gd.backend,
             "pcg_iterations": gd.pcg_iterations,

@@ -46,15 +46,32 @@ class SolvabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class GreenData:
+    """One Green solve.  The remainder eta = G + 4 log d_g - A_p is not kept:
+    `remainder` forms it from G where it is read."""
+
     p: tuple[int, int]
     G: ScalarField          # Green scalar; at p it stores the regular limit
-    eta: ScalarField        # C^1 remainder, eta(p) = 0
     A_p: float              # regular part: lim (G + 4 log d_g)
     lambda1: float
     meanG: float            # int G dv_g under the nodal convention
     residual: float         # pre-projection tau1-component of the rhs
     backend: str = "spectral"
     pcg_iterations: int = 0  # Krylov steps of the smooth solve
+
+    def remainder(self, spec: ProblemSpec, index=np.s_[:, :], r=None) -> np.ndarray:
+        """The C^1 remainder eta = G + 4 log r + 4 v(p) - A_p on G.values[index]
+        (a slice reads G without a copy), r the distance to p there, as
+        torus_box gives it; the whole grid, with torus_distance, by default.
+        eta(p) = 0, as d_g ~ e^{v(p)} r near p."""
+        if r is None:
+            r = torus_distance(spec.grid, self.p)
+        eta = np.log(np.where(r > 0.0, r, 1.0))
+        eta *= 4.0                        # G + 4 log r + 4 v(p) - A_p, in place
+        eta += self.G.values[index]
+        eta += 4.0 * float(spec.grid.v.values[self.p])
+        eta -= self.A_p
+        eta[r == 0.0] = 0.0
+        return eta
 
 
 # ---------------------------------------------------------------------------
@@ -72,28 +89,21 @@ _STEP1 = _STEP.deriv()
 _STEP2 = _STEP.deriv(2)
 
 
-def cutoff(r: np.ndarray) -> np.ndarray:
-    """Radial ramp: 1 for r <= r0 = CUTOFF_RADIUS, 0 for r >= 2 r0, C^8 in
-    between, where alone the ramp polynomial is evaluated (as in
-    _cutoff_derivs); _STEP(0) = 0 and _STEP(1) = 1 hold exactly."""
+def cutoff(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial ramp chi, 1 for r <= r0 = CUTOFF_RADIUS, 0 for r >= 2 r0, C^8
+    in between, where alone it and its r-derivatives chi', chi'' (returned
+    after it) are evaluated; _STEP(0) = 0 and _STEP(1) = 1 hold exactly."""
     r0 = CUTOFF_RADIUS
     t = (np.asarray(r, dtype=float) - r0) / r0
     chi = (t <= 0.0).astype(float)
     inside = (t > 0.0) & (t < 1.0)
-    chi[inside] = 1.0 - _STEP(t[inside])
-    return chi
-
-
-def _cutoff_derivs(r: np.ndarray):
-    r0 = CUTOFF_RADIUS
-    t = (r - r0) / r0
-    inside = (t > 0.0) & (t < 1.0)
     t = t[inside]
-    c1 = np.zeros_like(r)
-    c2 = np.zeros_like(r)
+    c1 = np.zeros_like(chi)
+    c2 = np.zeros_like(chi)
+    chi[inside] = 1.0 - _STEP(t)
     c1[inside] = -_STEP1(t) / r0
     c2[inside] = -_STEP2(t) / r0**2
-    return c1, c2
+    return chi, c1, c2
 
 
 def _radial_moments() -> tuple[float, float, float]:
@@ -106,14 +116,14 @@ def _radial_moments() -> tuple[float, float, float]:
     return 0.9621780513399368, 0.01530636209626765, 3.8487122059357146
 
 
-def _commutator_field(rr: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Smooth part m of Delta_flat(-4 chi log r) = -8 pi delta + m, given rr,
-    the distance with 1 at the pole (outside the ramp), and L = log rr.
+def _commutator_field(rr, L, c1, c2) -> np.ndarray:
+    """Smooth part m of Delta_flat(-4 chi log r) = -8 pi delta + m, formed in
+    c2, given rr, the distance with 1 at the pole (outside the ramp), L = log
+    rr and chi' = c1, chi'' = c2 (see cutoff).
 
     Supported on the ramp annulus; normalized afterwards so its discrete
     flat integral is exactly 8 pi, which the continuum identity requires.
     """
-    c1, c2 = _cutoff_derivs(rr)
     c2 *= L                       # -4 (c2 L + c1 L / rr + 2 c1 / rr), in place
     c2 += c1 * L / rr
     c2 += 2.0 * c1 / rr
@@ -152,7 +162,8 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     commutator field m vanish from r = 2 CUTOFF_RADIUS = 1/4 on, so they,
     their moments and the shell correction are formed on the box of that
     radius around p (geometry.torus_box), about a quarter of the nodes;
-    through the smooth solve the Green solve holds s alone beside it."""
+    through the smooth solve the Green solve holds s alone beside it.  The
+    remainder eta is not formed here (see GreenData.remainder)."""
     g = spec.grid
     if float(p[0]) != int(p[0]) or float(p[1]) != int(p[1]):
         raise ValueError(f"p must be a grid node (integer pair), got {p}")
@@ -162,7 +173,8 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
 
     box, r = torus_box(g, (i, j), 2.0 * CUTOFF_RADIUS)
     c = r.shape[0] // 2                   # p in box coordinates: (c, c)
-    s = -4.0 * cutoff(r)                  # times log r below: the log field
+    s, c1, c2 = cutoff(r)
+    s *= -4.0                             # times log r below: the log field
     rr = np.where(r > 0.0, r, 1.0)
     L = np.log(rr)
     s *= L
@@ -172,8 +184,8 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     # the solvability pairing against any smooth section is exact through
     # the quadratic term of its Taylor expansion at p
     log0, log2, commutator2 = _radial_moments()
-    m = _commutator_field(rr, L)
-    del rr, L
+    m = _commutator_field(rr, L, c1, c2)
+    del rr, L, c1, c2
     r2m = r**2 * m
     mom = np.array([m.sum(), r2m.sum()]) * g.h**2
     cross = np.array([r2m.sum(), (m * r**4).sum()]) * g.h**2
@@ -222,21 +234,16 @@ def solve_green(p, spec: ProblemSpec, backend: str = "spectral",
     del f
     w, iterations = _solve_smooth(rhs, spec, backend)
 
-    vp = float(g.v.values[i, j])
     w_p = float(w[i, j])                  # read before s is added: G is w
     G = w
     G[box] += s
-    G[i, j] = w_p + 4.0 * vp              # regular limit stored at p
+    G[i, j] = w_p + 4.0 * float(g.v.values[i, j])   # regular limit stored at p
     del s, w
     kb.remove(G)
     A_p = float(G[i, j])
     mean_G = float(np.sum(G * area))
 
-    r = torus_distance(g, (i, j))
-    eta = G + 4.0 * np.log(np.where(r > 0.0, r, 1.0)) + 4.0 * vp - A_p
-    eta[i, j] = 0.0                       # d_g ~ e^{v(p)} r near p
-
-    return GreenData(p=(i, j), G=ScalarField(G), eta=ScalarField(eta), A_p=A_p,
+    return GreenData(p=(i, j), G=ScalarField(G), A_p=A_p,
                      lambda1=float(lambda1), meanG=mean_G,
                      residual=abs(residual), backend=backend,
                      pcg_iterations=iterations)
@@ -268,7 +275,7 @@ def critical_value_map(spec: ProblemSpec, stride: int, backend: str = "spectral"
             gd = solve_green((i, j), spec, backend=backend)
             values.append(critical_value(gd, spec))
             iterations += gd.pcg_iterations
-            del gd                        # frees G and eta before the next solve
+            del gd                        # frees G before the next solve
     values = np.array(values).reshape(n // stride, n // stride)
     amin = np.unravel_index(int(np.argmin(values)), values.shape)
     amax = np.unravel_index(int(np.argmax(values)), values.shape)

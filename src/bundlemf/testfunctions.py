@@ -227,7 +227,7 @@ def build_Qk(p, k: int, spec: ProblemSpec, gd: GreenData | None = None) -> QkFam
     # the cap, are written on the box of that radius (the torus at k = 16)
     box, r = torus_box(g, (i, j), 2.0 * R / k)
     qb = _qk_ramp(r, R / k)
-    qb *= gd.eta.values[box]
+    qb *= gd.remainder(spec, box, r)
     np.subtract(gd.G.values[box], qb, out=qb)
     cap = r <= R / k
     qb[cap] = bubble_cap(c, k, r[cap])
@@ -307,7 +307,7 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     # masked energy's roll wraps no cap cell
     box, r = torus_box(g, fam.p, fam.R / fam.k + 2.0 * g.h)
     ring = np.abs(r - fam.R / fam.k) <= g.h
-    G, eta = gd.G.values[box][ring], gd.eta.values[box][ring]
+    G, eta = gd.G.values[box][ring], gd.remainder(spec, box, r)[ring]
     jump = float(np.max(np.abs(
         bubble_cap(fam.c, fam.k, r[ring])
         - (G - _qk_ramp(r[ring], fam.R / fam.k) * eta))))
@@ -342,17 +342,6 @@ def _masked_gradient_energy(u: np.ndarray, mask: np.ndarray, grid: TorusGrid) ->
     ux += uy
     cell = mask & np.roll(mask, -1, 0) & np.roll(mask, -1, 1)
     return float(np.sum(ux[cell]) * grid.h**2)
-
-
-def qk_gap_sequence(p, ks, spec: ProblemSpec) -> dict:
-    """Audit a whole k-schedule at one point, sharing the Green solve."""
-    gd = solve_green(p, spec)
-    reports = [qk_audit(build_Qk(p, k, spec, gd), spec) for k in ks]
-    jvals = np.array([rep["jvalue"] for rep in reports])
-    lam = reports[0]["Lambda"]
-    return {"ks": list(ks), "reports": reports, "Lambda": lam,
-            "jvalues": jvals.tolist(),
-            "extrapolated": extrapolate_limit(np.asarray(ks, dtype=float), jvals)}
 
 
 def extrapolate_limit(ks: np.ndarray, values: np.ndarray) -> float:

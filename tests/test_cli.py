@@ -148,15 +148,15 @@ class TestMemory:
     def test_qk_peak(self, tmp_path):
         """The whole qk command, problem included, at n = 256: the problem
         keeps 8.5 n x n arrays and the audit, the peak, adds tau1's cached
-        transform, G, eta, the section and the energy's 4; at most 17.5
-        arrays (17.07 measured)."""
+        transform, G, the section and the energy's 4; at most 16.5 arrays
+        (16.07 measured)."""
         n = 256
         argv = ["qk", "--n", str(n), "--k", "64", "--connection", "exact:cos-x:0.3",
                 "--p", "3,5", "--out", str(tmp_path)]
         with contextlib.redirect_stdout(io.StringIO()):
             peak = traced_peak(lambda: main(argv))
         assert read_summary(tmp_path, "qk")["status"] == "ok"
-        assert peak <= 17.5 * 8 * n * n
+        assert peak <= 16.5 * 8 * n * n
 
     def test_file_preset_peaks(self, tmp_path):
         """A file preset reads each component once, into an array the field

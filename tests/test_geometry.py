@@ -19,7 +19,7 @@ from bundlemf import (
     laplacian,
     oneform_inner,
 )
-from bundlemf import bundle, geometry, presets
+from bundlemf import bundle, cli, functional, geometry, green, presets, sweep, testfunctions
 from bundlemf.geometry import (
     _rfft2,
     flat_laplacian_raw,
@@ -455,12 +455,13 @@ class TestLayering:
             ("bundlemf.presets.make_v_field", 5)]
 
     def test_public_functions_have_a_caller(self):
-        """Every public function of geometry, bundle and presets is read
-        somewhere in the package or exported in bundlemf.__all__: a helper
-        that only tests use lives in the tests."""
+        """Every public function of the eight modules is read somewhere in
+        the package or exported in bundlemf.__all__: a helper that only
+        tests use lives in the tests."""
         read = {name for path in package_sources()
                 for name in read_names(ast.parse(path.read_text()))}
-        idle = [f"{module.__name__}.{name}" for module in (geometry, bundle, presets)
+        modules = (bundle, cli, functional, geometry, green, presets, sweep, testfunctions)
+        idle = [f"{module.__name__}.{name}" for module in modules
                 for name, obj in vars(module).items()
                 if inspect.isfunction(obj) and obj.__module__ == module.__name__
                 and not name.startswith("_")

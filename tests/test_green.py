@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 from math import comb, factorial
 
 import numpy as np
@@ -16,6 +19,7 @@ from bundlemf import (
     make_connection,
     solve_green,
 )
+from bundlemf.cli import main
 from bundlemf.geometry import build_grid, random_band_limited, torus_distance
 from bundlemf.green import (
     _STEP,
@@ -64,7 +68,7 @@ class TestCutoff:
         for p in ((0, 0), (3, 5), (128, 77)):
             r = torus_distance(g, p)
             full = 1.0 - _STEP(np.clip((r - CUTOFF_RADIUS) / CUTOFF_RADIUS, 0.0, 1.0))
-            assert np.array_equal(cutoff(r), full)
+            assert np.array_equal(cutoff(r)[0], full)
 
 
 class TestFlatCase:
@@ -86,13 +90,32 @@ class TestFlatCase:
         for p in [(13, 40), (64, 64), (100, 5), (31, 97), (2, 2)]:
             assert abs(solve_green(p, spec128).A_p - ref) <= 1e-3
 
-    def test_eta_vanishes_at_p(self, gd128):
-        i, j = gd128.p
-        assert gd128.eta.values[i, j] == 0.0
-
     def test_regular_limit_stored_at_p(self, gd128):
         i, j = gd128.p
         assert gd128.G.values[i, j] == pytest.approx(gd128.A_p)
+
+
+class TestRemainderFile:
+    @pytest.mark.parametrize("p", [(0, 0), (253, 3)])
+    def test_written_eta(self, tmp_path, p):
+        """green_eta.npy is eta = G + 4 log r + 4 v(p) - A_p (d_g ~ e^{v(p)} r
+        near p), r = torus_distance, from the written G and A_p, bit for bit,
+        and 0 at p; (253, 3) puts p near two edges, so its boxes wrap."""
+        n = 256
+        argv = ["green", "--n", str(n), "--v-preset", "cos-x:0.3",
+                "--connection", "exact:cos-x:0.3", "--p", f"{p[0]},{p[1]}",
+                "--out", str(tmp_path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        A_p = json.loads((tmp_path / "green_summary.json").read_text())["results"]["A_p"]
+        G = np.load(tmp_path / "green_field.npy")
+        eta = np.load(tmp_path / "green_eta.npy")
+        r = torus_distance(build_grid(n), p)
+        vp = make_v_field("cos-x:0.3", n).values[p]
+        expected = G + 4.0 * np.log(np.where(r > 0.0, r, 1.0)) + 4.0 * vp - A_p
+        expected[p] = 0.0
+        assert eta[p] == 0.0
+        assert np.array_equal(eta, expected)
 
 
 class TestBackends:
@@ -391,10 +414,11 @@ class TestRadialMoments:
                         0.0, 2.0 * CUTOFF_RADIUS, limit=200)[0]
 
         def log_field(t):
-            return -4.0 * cutoff(np.array([t]))[0] * np.log(t)
+            return -4.0 * cutoff(np.array([t]))[0][0] * np.log(t)
 
         def commutator(t):
-            return _commutator_field(np.array([t]), np.log(np.array([t])))[0]
+            _, c1, c2 = cutoff(np.array([t]))
+            return _commutator_field(np.array([t]), np.log(np.array([t])), c1, c2)[0]
 
         ref = np.array([moment(log_field, 0), moment(log_field, 2), moment(commutator, 2)])
         np.testing.assert_allclose(_radial_moments(), ref, rtol=1e-14, atol=0)

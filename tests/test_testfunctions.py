@@ -26,7 +26,6 @@ from bundlemf.testfunctions import (
     extrapolate_limit,
     moser_profile,
     plateau_integral,
-    qk_gap_sequence,
 )
 
 from conftest import df_connection, ones_field, traced_peak, zero_connection
@@ -200,11 +199,6 @@ class TestQk:
                     "Lambda", "gap", "projection_shift", "interface_jump"):
             assert np.isfinite(rep[key])
 
-    def test_gap_sequence_shares_green_solve(self, spec256):
-        out = qk_gap_sequence((0, 0), (16, 32, 64), spec256)
-        assert len(out["reports"]) == 3
-        assert np.isfinite(out["extrapolated"])
-
 
 @pytest.fixture(scope="module")
 def exact_spec256():
@@ -220,7 +214,7 @@ def unprojected_qk(fam, spec):
     r = torus_distance(g, fam.p)
     a = fam.R / fam.k
     return np.where(r <= a, bubble_cap(fam.c, fam.k, r),
-                    gd.G.values - _qk_ramp(r, a) * gd.eta.values)
+                    gd.G.values - _qk_ramp(r, a) * gd.remainder(spec))
 
 
 class TestQkInPlace:
