@@ -132,11 +132,8 @@ class Connection:
         that is not positive definite leaves the diagonal alone."""
         K, grid = COARSE_K, self.grid
         m = 2 * K + 1
-        A = coarse_block(self)
-        if self.kernel.dim == 1:
-            t = window(self.kernel.spectral(), K).reshape(-1)
-            A += (COARSE_SHIFT / np.sum(np.abs(t) ** 2)) * np.multiply.outer(t, t.conj())
-        inverse = _hpd_inverse(A)
+        inverse = _hpd_inverse(_shift_along_tau1(coarse_block(self, K), self.kernel,
+                                                 K, COARSE_SHIFT))
         if inverse is None:
             return lambda R: grid.shifted_inverse * R
         inverse = inverse.reshape(m, m, m, m)[:, K:].copy()
@@ -297,18 +294,29 @@ COARSE_K = 6           # the coarse modes |k_x|, |k_y| <= COARSE_K: 169 of them
 COARSE_SHIFT = 4 * np.pi**2   # the rank-one shift along tau1's low modes: the lowest k^2
 
 
-def coarse_block(conn: Connection) -> np.ndarray:
+def coarse_block(conn: Connection, K: int) -> np.ndarray:
     """The Galerkin block A_L = diag(k^2) + W(k - l) of solve_symmetrized's
-    operator on the modes |k_x|, |k_y| <= COARSE_K, W the fft2 of
-    e^{2v} h^2 V: exact, since the Nyquist mask never reaches those modes.
-    A Hermitian (m^2, m^2) matrix, m = 2 COARSE_K + 1, over the modes in
-    C order of geometry.window's (k_x + K, k_y + K); one FFT."""
-    K, grid = COARSE_K, conn.grid
+    operator on the modes |k_x|, |k_y| <= K, W the fft2 of e^{2v} h^2 V:
+    exact, since the Nyquist mask never reaches those modes.  A Hermitian
+    (m^2, m^2) matrix, m = 2 K + 1, over the modes in C order of
+    geometry.window's (k_x + K, k_y + K); one FFT.  COARSE_K builds
+    Connection.preconditioner's block, EIG_START_K the eigen-solve's start."""
+    grid = conn.grid
     m = 2 * K + 1
     W = low_modes(grid.area_element * conn.potential.values, 2 * K)
     d = np.arange(m)[:, None] - np.arange(m)[None, :] + 2 * K     # k - l + 2K
     A = W[d[:, None, :, None], d[None, :, None, :]].reshape(m * m, m * m)
     A[np.diag_indices(m * m)] += window(grid.k2, K).reshape(-1)
+    return A
+
+
+def _shift_along_tau1(A: np.ndarray, kernel: KernelBasis, K: int, shift: float) -> np.ndarray:
+    """The coarse block A plus `shift` times the orthogonal projection onto
+    tau1's window |k_x|, |k_y| <= K, in place, when the kernel is
+    one-dimensional (A is only semi-definite there); else A as it is."""
+    if kernel.dim == 1:
+        t = window(kernel.spectral(), K).reshape(-1)
+        A += (shift / np.sum(np.abs(t) ** 2)) * np.multiply.outer(t, t.conj())
     return A
 
 
@@ -383,13 +391,16 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
 EIG_TOL = 1e-8          # relative residual; lam's error goes like its square
 EIG_STALL_STEPS = 20    # steps without a new lowest residual that make a stall
 EIG_DEPENDENT = 1e-8    # share of a vector left by Gram-Schmidt below which it is dependent
+EIG_START_K = 1         # the start's coarse modes |k_x|, |k_y| <= EIG_START_K: nine of them
+EIG_START_NOISE = 1e-3  # the start's seeded perturbation, relative to its coarse part
 
 
 def poincare_constant(conn: Connection, grid: TorusGrid, seed: int = 0,
                       tol: float = EIG_TOL, max_iter: int = 500) -> float:
     """1 / lambda_min of the bundle Laplacian on the discrete complement of
-    the kernel; see `smallest_eigenvalue` for the method, `tol` and `seed`.
-    `grid` must be conn.grid itself: a connection holds one metric."""
+    the kernel; see `smallest_eigenvalue` for the method, its coarse start,
+    `tol` and `seed`, which draws the start's small perturbation.  `grid`
+    must be conn.grid itself: a connection holds one metric."""
     if grid is not conn.grid:
         raise ValueError("grid is not the connection's grid")
     lam, _ = smallest_eigenvalue(conn, seed=seed, tol=tol, max_iter=max_iter)
@@ -414,8 +425,20 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
     place; K x and K p, and M x and M p on a conformal metric, are carried
     along, so a step costs one operator and one mass apply: 2 FFTs on the
     flat torus, 4 on a conformal metric.  p is dropped when it is nearly
-    dependent on the other two.  `seed` draws the start vector, which is
-    transformed once, as is the eigenvector back.
+    dependent on the other two.  The eigenvector is transformed back once.
+
+    The start (`_coarse_start`) is a Rayleigh-Ritz on the coarse space of
+    the two-level preconditioner (Nicolaides, SIAM J. Numer. Anal. 24
+    (1987) 355-365): the lowest eigenvector of coarse_block on the nine
+    modes |k_x|, |k_y| <= EIG_START_K = 1, with tau1's window shifted out
+    of the way, which costs one FFT and an 18 x 18 real eigh.  It separates
+    the near-degenerate cluster of the lowest Fourier modes that a white
+    noise start spent most of its steps on: 13 applies in place of 24 to 36
+    on exact:cos-x:0.3 at n = 128.  `seed` draws a white-noise perturbation
+    of EIG_START_NOISE = 1e-3 of the start's norm, in Fourier space.  It
+    stays because it keeps every mode present: the nine-mode window can
+    rank the symmetry sectors wrongly, and a start confined to the wrong
+    one stalled (exact:cos-x:2.0 on cos-x:0.5, n = 32 and 64).
 
     `tol` bounds the relative residual ||K x - lam M x|| / (|lam| ||M x||);
     the eigenvalue error goes like its square.  Raises EigensolveError naming
@@ -466,8 +489,7 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
         return EigensolveError(f"eigensolve stopped on {reason} after {steps} steps"
                                f" at relative residual {res:.3e}")
 
-    rng = np.random.default_rng(seed)
-    X = deflate(to_spectral(rng.standard_normal((grid.n, grid.n)), grid))
+    X = deflate(_coarse_start(conn, np.random.default_rng(seed)))
     x = orthonormalize([X, None, mass(X)], [])
     x[1] = spectral_laplacian_plus(X, V, grid)
     p = None
@@ -507,3 +529,33 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
                 x[i] += w[i]
         p = w
         del q, basis            # the old p, before the next step allocates
+
+
+def _coarse_start(conn: Connection, rng: np.random.Generator) -> np.ndarray:
+    """smallest_eigenvalue's start on Nyquist-free rfft2 coefficients: the
+    lowest eigenvector of coarse_block on the modes |k_x|, |k_y| <=
+    EIG_START_K, its tau1 window shifted past the block's spectrum (by the
+    trace) when the kernel is one-dimensional, plus white noise drawn from
+    `rng` as a real field's coefficients, EIG_START_NOISE of its norm.
+
+    The Hermitian block is solved as its real symmetric embedding
+    [[Re A, -Im A], [Im A, Re A]], and of the eigenvector z the larger of the
+    real fields z + conj z(-k) and i (conj z(-k) - z) is kept (one of them
+    may vanish).  One FFT, the block's."""
+    grid, K = conn.grid, EIG_START_K
+    m2 = (2 * K + 1) ** 2
+    A = coarse_block(conn, K)
+    A = _shift_along_tau1(A, conn.kernel, K, float(np.trace(A).real))
+    y = np.linalg.eigh(np.block([[A.real, -A.imag], [A.imag, A.real]]))[1][:, 0]
+    z = (y[:m2] + 1j * y[m2:]).reshape(2 * K + 1, 2 * K + 1)
+    zc = z[::-1, ::-1].conj()               # conj z(-k)
+    z = max((z + zc, 1j * (zc - z)), key=np.linalg.norm)
+    z /= np.linalg.norm(z)                  # Parseval's norm of the window's field
+    n = grid.n
+    X = rng.standard_normal((n, n // 2 + 1, 2)).view(complex)[..., 0]
+    for c in (0, -1):   # the columns where a real field's X(-k) = conj X(k) binds
+        X[:, c] += X[-np.arange(n), c].conj()
+    X *= grid.mask
+    X *= EIG_START_NOISE / np.sqrt(grid.inner(X, X))
+    set_window(X, window(X, K)[:, K:] + z[:, K:], K)
+    return X

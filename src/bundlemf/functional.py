@@ -107,22 +107,27 @@ def log_mass(u: np.ndarray, spec: ProblemSpec) -> tuple[float, float, np.ndarray
     return shift + slog, shift, w
 
 
-def evaluate_J(u: ScalarField, spec: ProblemSpec, energy: float | None = None) -> float:
+def evaluate_J(u: ScalarField, spec: ProblemSpec, energy: float | None = None,
+               log_mu: float | None = None) -> float:
     """Value of the functional; raises ExponentOverflowError past the guard.
-    `energy` is bundle_energy(u), when the caller has it already."""
+    `energy` is bundle_energy(u) and `log_mu` log_mass(u)[0], when the
+    caller has them already."""
     _guard(u.values)
     g = spec.grid
     if energy is None:
         energy = bundle_energy(u, spec.conn)
     mean_term = spec.rho / g.total_area * float(np.sum(u.values * g.area_element))
-    log_mu, _, _ = log_mass(u.values, spec)
+    if log_mu is None:
+        log_mu = log_mass(u.values, spec)[0]
     return 0.5 * energy + mean_term - spec.rho * log_mu
 
 
-def _raw_residual(u: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|)."""
+def _raw_residual(u: np.ndarray, spec: ProblemSpec,
+                  mass: tuple | None = None) -> np.ndarray:
+    """r = (Delta_g + V) u - rho (h e^u / mu - 1/|Sigma|); `mass` is
+    log_mass(u), when the caller has it already (it is not changed)."""
     lap = bundle_laplacian_raw(u, spec.conn)
-    log_mu, shift, w = log_mass(u, spec)
+    log_mu, shift, w = log_mass(u, spec) if mass is None else mass
     density = w * np.exp(shift - log_mu)  # h e^u / mu, evaluated stably
     return lap - spec.rho * (density - 1.0 / spec.grid.total_area)
 
@@ -140,12 +145,14 @@ def el_residual(u: ScalarField, spec: ProblemSpec) -> tuple[ScalarField, float]:
     return ScalarField(r), lambda1
 
 
-def kernel_multiplier(u: np.ndarray, spec: ProblemSpec) -> float:
+def kernel_multiplier(u: np.ndarray, spec: ProblemSpec,
+                      mass: tuple | None = None) -> float:
     """lambda1 of el_residual from the same raw residual, with no projected
-    residual built; 0.0 at once when the kernel is trivial."""
+    residual built; 0.0 at once when the kernel is trivial.  `mass` is
+    log_mass(u), when the caller has it already."""
     if spec.conn.kernel.dim == 0:
         return 0.0
-    return 0.0 - spec.conn.kernel.component(_raw_residual(u, spec))
+    return 0.0 - spec.conn.kernel.component(_raw_residual(u, spec, mass))
 
 
 def minimize(spec: ProblemSpec, init: ScalarField | None = None,
@@ -161,7 +168,8 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     Armijo cannot certify progress.  The residual is h^2 ||R||, Parseval's
     norm: the L2(dv_g) norm of the projected residual on the flat torus, of
     e^v times it on a conformal metric.  The reported J, mu, lambda1 and
-    covariant energy are computed once, on the returned u.
+    covariant energy are computed once, on the returned u, from one
+    bundle_energy and one log_mass.
     Guaranteed-convergence regime is rho < 8 pi; larger rho is accepted with
     a warning, where divergence signals non-coercivity rather than failure.
     """
@@ -229,10 +237,10 @@ def minimize(spec: ProblemSpec, init: ScalarField | None = None,
     if not converged and best[0] < rnorm:
         rnorm, u = best
     uf = ScalarField(u)
-    energy = bundle_energy(uf, spec.conn)
-    return MinimizeResult(u=uf, jvalue=evaluate_J(uf, spec, energy),
-                          mu=float(np.exp(log_mass(u, spec)[0])),
-                          lambda1=kernel_multiplier(u, spec),
+    energy, mass = bundle_energy(uf, spec.conn), log_mass(u, spec)
+    return MinimizeResult(u=uf, jvalue=evaluate_J(uf, spec, energy, mass[0]),
+                          mu=float(np.exp(mass[0])),
+                          lambda1=kernel_multiplier(u, spec, mass),
                           energy=energy, residual=rnorm, iterations=it,
                           converged=converged, guard_hit=guard_hit)
 
@@ -248,7 +256,9 @@ def _state(U: np.ndarray, spec: ProblemSpec) -> tuple[np.ndarray, float, np.ndar
     ua = u * g.area_element
     Vu = spec.conn.potential.values * u
     KU = g.k2 * U
-    J = (0.5 * (g.h**4 * g.inner(U, KU) + float(np.vdot(Vu, ua)))
+    # einsum, not vdot: numpy hands a real vdot to BLAS, which may split it
+    # over threads and stall for milliseconds waking them
+    J = (0.5 * (g.h**4 * g.inner(U, KU) + float(np.einsum("ij,ij->", Vu, ua)))
          + rho / g.total_area * float(np.sum(ua)) - rho * log_mu)
     q *= -rho * np.exp(shift - log_mu)          # -rho h e^u / mu
     q += rho / g.total_area

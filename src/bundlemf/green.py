@@ -62,15 +62,20 @@ class GreenData:
         """The C^1 remainder eta = G + 4 log r + 4 v(p) - A_p on G.values[index]
         (a slice reads G without a copy), r the distance to p there, as
         torus_box gives it; the whole grid, with torus_distance, by default.
-        eta(p) = 0, as d_g ~ e^{v(p)} r near p."""
+        eta(p) = 0, as d_g ~ e^{v(p)} r near p.  Beside r it holds eta alone:
+        p is found by argmin and the log is taken in place."""
         if r is None:
             r = torus_distance(spec.grid, self.p)
-        eta = np.log(np.where(r > 0.0, r, 1.0))
+        at_p = np.unravel_index(np.argmin(r), r.shape)   # r = 0 there, if p is indexed
+        eta = r.copy()
+        eta[at_p] = r[at_p] or 1.0
+        np.log(eta, out=eta)
         eta *= 4.0                        # G + 4 log r + 4 v(p) - A_p, in place
         eta += self.G.values[index]
         eta += 4.0 * float(spec.grid.v.values[self.p])
         eta -= self.A_p
-        eta[r == 0.0] = 0.0
+        if r[at_p] == 0.0:
+            eta[at_p] = 0.0
         return eta
 
 

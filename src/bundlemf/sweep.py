@@ -43,14 +43,12 @@ class SweepRecord:
 
 
 def peak(u: ScalarField, rho: float, spec: ProblemSpec,
-         mu: float | None = None) -> tuple[tuple[int, int], float, float, float]:
-    """The argmax node x of u, c = u(x), the mass mu (computed unless given)
-    and the bubble scale r_scale = sqrt(mu / (rho h(x))) e^{-c/2}."""
+         mu: float) -> tuple[tuple[int, int], float, float, float]:
+    """The argmax node x of u, c = u(x), the mass mu of u as given and the
+    bubble scale r_scale = sqrt(mu / (rho h(x))) e^{-c/2}."""
     flat = int(np.argmax(u.values))
     x = (flat // spec.grid.n, flat % spec.grid.n)
     c = float(u.values[x])
-    if mu is None:
-        mu = float(np.exp(log_mass(u.values, spec)[0]))
     hx = float(spec.hweight.values[x])
     return x, c, mu, float(np.sqrt(mu / (rho * hx)) * np.exp(-c / 2.0))
 
@@ -62,9 +60,9 @@ def record_from_state(u: ScalarField, rho: float, spec: ProblemSpec,
     them on the same u and rho by the same code."""
     if res is None:
         spec_rho = spec.with_rho(rho)
-        energy = bundle_energy(u, spec.conn)
-        lam1 = kernel_multiplier(u.values, spec_rho)
-        jvalue, mu, solve = evaluate_J(u, spec_rho, energy), None, {}
+        energy, mass = bundle_energy(u, spec.conn), log_mass(u.values, spec)
+        lam1 = kernel_multiplier(u.values, spec_rho, mass)
+        jvalue, mu, solve = evaluate_J(u, spec_rho, energy, mass[0]), float(np.exp(mass[0])), {}
     else:
         lam1, jvalue, mu, energy = res.lambda1, res.jvalue, res.mu, res.energy
         solve = {"converged": res.converged, "guard_hit": res.guard_hit,

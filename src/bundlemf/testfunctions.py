@@ -299,7 +299,7 @@ def qk_audit(fam: QkFamily, spec: ProblemSpec) -> dict:
     logint = log_mass(fam.field.values, spec)[0]
     logint_closed = qk_logint_closed(fam.k, gd, spec)
 
-    jval = evaluate_J(fam.field, spec8, energy)
+    jval = evaluate_J(fam.field, spec8, energy, logint)
     lam = critical_value(gd, spec)
 
     # the ring, the cap and the cap cells' forward neighbours lie within

@@ -102,6 +102,15 @@ def spy_pcg(monkeypatch, module) -> list:
     return infos
 
 
+def count_calls(monkeypatch, name, *modules) -> list:
+    """A list that records every call of the function `name`, wrapped under
+    that name in each of `modules`, which must all bind the same function."""
+    calls, fn = [], getattr(modules[0], name)
+    for module in modules:
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
+    return calls
+
+
 @pytest.fixture(scope="session")
 def grid32():
     return build_grid(32)

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pkgutil
 import tracemalloc
 
@@ -578,7 +579,8 @@ class TestCoarsePreconditioner:
     def test_block_is_the_operator_on_low_modes(self, n, case):
         """A_L applied to a low-mode unit vector (real or imaginary, with its
         conjugate at -l) is the low window of spectral_laplacian_plus on
-        it, to 1e-12 relative: on the grid and on its 5-point twin, flat
+        it, to 1e-12 relative, for the preconditioner's K and the
+        eigen-solve start's: on the grid and on its 5-point twin, flat
         and conformal, and at n = 16, where the offsets k - l wrap mod n
         and reach the Nyquist modes of e^{2v} h^2 V, which a connection
         df with f white noise fills."""
@@ -588,12 +590,14 @@ class TestCoarsePreconditioner:
             conn = make_connection(exterior_derivative(f, grid), grid)
         else:
             conn = df_connection(grid)
-        K = bundle.COARSE_K
-        for c in (conn, conn.five_point):
-            A = bundle.coarse_block(c)
+        for K, c in itertools.product((bundle.COARSE_K, bundle.EIG_START_K),
+                                      (conn, conn.five_point)):
+            A = bundle.coarse_block(c, K)
             assert A.shape == ((2 * K + 1) ** 2,) * 2
             for l, unit in (((0, 0), 1.0), ((1, 0), 1.0), ((-3, 2), 1.0),
                             ((K, K), 1j), ((-K, 1), 1j), ((2, K), 1.0)):
+                if max(map(abs, l)) > K:
+                    continue
                 E = np.zeros((n, n // 2 + 1), dtype=complex)
                 E[l[0] % n, l[1]] = unit
                 if l[1] == 0:
@@ -657,12 +661,16 @@ class TestPoincare:
     def test_harmonic_connection_positive(self):
         # the 2 pi dx holonomy on the flat torus; the exact connection on the
         # conformal metric cos-x:0.3, where inverse iteration converged at
-        # rate 0.988 and stopped at its 500-step cap; and a rough conformal
-        # metric, whose e^{2v} x has Nyquist modes the residual must drop
+        # rate 0.988 and stopped at its 500-step cap; a rough conformal
+        # metric, whose e^{2v} x has Nyquist modes the residual must drop;
+        # and exact:cos-x:2.0 on cos-x:0.5, where the coarse start without
+        # its seeded perturbation stalls
         rough = 0.3 * np.random.default_rng(0).standard_normal((32, 32))
         for v, conn_of, dim in ((None, lambda g: harmonic_connection(g, 2 * np.pi, 0.0), 0),
                                 (make_v_field("cos-x:0.3", 32), df_connection, 1),
-                                (rough, lambda g: harmonic_connection(g, 1.0, 2.0), 0)):
+                                (rough, lambda g: harmonic_connection(g, 1.0, 2.0), 0),
+                                (make_v_field("cos-x:0.5", 32),
+                                 lambda g: df_connection(g, 2.0), 1)):
             grid = build_grid(32, v)
             conn = conn_of(grid)
             assert conn.kernel.dim == dim
@@ -699,8 +707,9 @@ class TestPoincare:
     def test_fft_budget(self, monkeypatch, v, per_step):
         """Each step applies the operator once, one FFT pair, and on a
         conformal metric the mass once, one more pair (the initial x pays the
-        same); the start vector, tau1 and e^{2v} tau1 are transformed once and
-        the eigenvector back once."""
+        same); the start's coarse block costs one FFT (the start itself is
+        drawn in Fourier space), tau1 and e^{2v} tau1 are transformed once
+        and the eigenvector back once."""
         grid = build_grid(32, make_v_field(v, 32) if v else None)
         conn = df_connection(grid)
         applies = []
@@ -710,6 +719,22 @@ class TestPoincare:
         smallest_eigenvalue(conn)
         assert len(applies) > 1
         assert len(calls) <= per_step * len(applies) + 4
+
+    def test_coarse_start_applies(self, monkeypatch):
+        """Started from the coarse block's lowest eigenvector, the solve on
+        exact:cos-x:0.3 at n = 128 takes 13 operator applies for every seed
+        (24 to 36 from white noise), and lam is 4 pi^2, the Rayleigh
+        quotient of e^{-f} sin 2 pi y, to 1e-12."""
+        grid = build_grid(128)
+        conn = df_connection(grid)
+        applies = []
+        monkeypatch.setattr(bundle, "spectral_laplacian_plus",
+                            lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
+        for seed in range(5):
+            applies.clear()
+            lam, _ = smallest_eigenvalue(conn, seed=seed)
+            assert len(applies) <= 16
+            assert abs(lam - 4 * np.pi**2) <= 1e-12 * lam
 
     def test_memory_peak(self):
         """Gram-Schmidt and the updates run in place, r is freed once

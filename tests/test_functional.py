@@ -33,6 +33,7 @@ from bundlemf.geometry import (
 
 from conftest import (
     cos_x_field,
+    count_calls,
     count_fft_calls,
     df_connection,
     drop_nyquist,
@@ -141,6 +142,17 @@ class TestMinimize:
         assert np.max(np.abs(res.u.values)) == 0.0
         assert res.residual == 0.0
         assert res.mu > 0.0
+
+    def test_closing_report_one_log_mass(self, df_problem64, monkeypatch):
+        """The returned J, mu and lambda1 share one log_mass: every other
+        call is a line-search trial's or a Newton direction's."""
+        masses = count_calls(monkeypatch, "log_mass", functional)
+        states = count_calls(monkeypatch, "_state", functional)
+        directions = count_calls(monkeypatch, "_newton_direction", functional)
+        init = random_band_limited(df_problem64.grid, np.random.default_rng(4), amplitude=0.5)
+        res = minimize(df_problem64, init)
+        assert res.converged and len(directions) > 0
+        assert len(masses) == len(states) + len(directions) + 1
 
     def test_flat_unit_weight(self, flat_problem64):
         rng = np.random.default_rng(31)
@@ -402,6 +414,19 @@ class TestNewtonDirection:
 
 
 class TestLineSearchFunctional:
+    def test_no_real_vdot(self, monkeypatch):
+        """A trial hands no real product to np.vdot, which numpy passes to
+        BLAS and BLAS may split over threads; the complex Parseval products
+        stay on it."""
+        spec = build_problem(RunConfig(n=128, rho=12.0, connection="exact:cos-x:0.3",
+                                       h_preset="exp-cos:0.5", v_preset="cos-x:0.3"))
+        init = random_band_limited(spec.grid, np.random.default_rng(3), amplitude=1.0)
+        U = start_coefficients(init, spec)
+        calls = count_calls(monkeypatch, "vdot", np)
+        functional._state(U, spec)
+        kinds = {(a.dtype.kind, b.dtype.kind) for a, b in calls}
+        assert kinds == {("c", "c")}
+
     def test_gradient_is_consistent(self):
         """Central differences of the line search's J along a random
         Nyquist-free H1 direction D match its slope h^4 <R, D> to O(eps^2):

@@ -373,6 +373,16 @@ class TestMemory:
         spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
         assert traced_peak(lambda: solve_green((3, 5), spec)) <= 6 * 8 * n * n
 
+    def test_whole_grid_remainder_peak(self):
+        """The whole-grid remainder, as the `green` command writes it, holds
+        the distance field and eta, whose log is taken in place: at most
+        2.1 n x n arrays over the Green solve at n = 256 (2.0 measured)."""
+        n = 256
+        g = build_grid(n)
+        spec = ProblemSpec(df_connection(g, 0.3), ones_field(n), RHO8)
+        gd = solve_green((3, 5), spec)
+        assert traced_peak(lambda: gd.remainder(spec)) <= 2.1 * 8 * n * n
+
 
 # the moments against 40-digit mpmath (tanh-sinh on the same integrands)
 ACCURATE_MOMENTS = (0.9621780513378017, 0.015306362096180234, 3.8487122053512066)

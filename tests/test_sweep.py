@@ -15,7 +15,7 @@ from bundlemf.sweep import (
     subcritical_sweep,
     window_profile,
 )
-from conftest import count_fft_calls, ones_field, zero_connection
+from conftest import count_calls, count_fft_calls, ones_field, zero_connection
 
 
 @pytest.fixture(scope="module")
@@ -50,16 +50,11 @@ class TestSweep:
     def test_record_energy_computed_once(self, trivial_sweep, monkeypatch):
         spec, _ = trivial_sweep
         u = random_band_limited(spec.grid, np.random.default_rng(5), amplitude=0.5)
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return bundle_energy(*args)
-
-        monkeypatch.setattr(sweep, "bundle_energy", counted)
-        monkeypatch.setattr(functional, "bundle_energy", counted)
+        energies = count_calls(monkeypatch, "bundle_energy", sweep, functional)
+        masses = count_calls(monkeypatch, "log_mass", functional, sweep)
         rec = record_from_state(u, 6.0, spec)
-        assert len(calls) == 1
+        assert len(energies) == 1
+        assert len(masses) == 1     # mu, J and lambda1 share one log_mass
         assert rec.energy == bundle_energy(u, spec.conn)
         assert rec.jvalue == evaluate_J(u, spec.with_rho(6.0))
 

@@ -8,9 +8,11 @@ from bundlemf import (
     annulus_capacity_numeric,
     build_Qk,
     bundle_energy,
+    functional,
     l2_inner,
     moser_family,
     qk_audit,
+    testfunctions,
     tm_probe,
 )
 from bundlemf.geometry import build_grid, torus_distance
@@ -28,7 +30,7 @@ from bundlemf.testfunctions import (
     plateau_integral,
 )
 
-from conftest import df_connection, ones_field, traced_peak, zero_connection
+from conftest import count_calls, df_connection, ones_field, traced_peak, zero_connection
 
 
 class TestBubble:
@@ -246,6 +248,13 @@ class TestQkInPlace:
         gd = solve_green((3, 5), spec)
         n = spec.grid.n
         assert traced_peak(lambda: build_Qk((3, 5), 64, spec, gd)) <= 3 * 8 * n * n
+
+    def test_audit_one_log_mass(self, exact_spec256, monkeypatch):
+        """logint and the audit's J share one log_mass."""
+        fam = build_Qk((3, 5), 64, exact_spec256)
+        calls = count_calls(monkeypatch, "log_mass", functional, testfunctions)
+        rep = qk_audit(fam, exact_spec256)
+        assert len(calls) == 1 and np.isfinite(rep["jvalue"])
 
     def test_audit_peak(self, exact_spec256):
         """The audit's peak is the covariant energy, which squares each
