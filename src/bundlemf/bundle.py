@@ -24,7 +24,9 @@ from .geometry import (
     oneform_calculus,
     partial_derivatives,
     set_window,
+    spectral_l1,
     spectral_laplacian_plus,
+    spectral_laplacian_plus_terms,
     to_spectral,
     window,
 )
@@ -117,9 +119,37 @@ class Connection:
     @cached_property
     def five_point(self) -> Connection:
         """This connection, built once on the grid's 5-point twin: the same
-        potential and tau1 arrays, with the twin's spectra in its kernel."""
+        potential and tau1 arrays and the same potential_modes, with the
+        twin's spectra in its kernel."""
         twin = self.grid.five_point
-        return replace(self, grid=twin, kernel=replace(self.kernel, grid=twin))
+        conn = replace(self, grid=twin, kernel=replace(self.kernel, grid=twin))
+        conn.__dict__["potential_modes"] = self.potential_modes   # primes the cache
+        return conn
+
+    @cached_property
+    def potential_modes(self) -> tuple[np.ndarray, tuple | None]:
+        """The fft2 coefficients of e^{2v} h^2 V on the window |k_x|, |k_y|
+        <= 2 COARSE_K (geometry.window, read-only; coarse_block reads its
+        blocks there), and V's Fourier terms for `apply` or None
+        (_fourier_terms), from one rfft2 on first use.  e^{2v} V = |w|^2 -
+        div w does not depend on the metric, and on the built-in
+        connections it has 0 (zero), 1 (harmonic) and 5 (exact:cos-x)
+        terms."""
+        grid = self.grid
+        W, l1 = low_modes(grid.area_element * self.potential.values, 2 * COARSE_K)
+        W.setflags(write=False)
+        return W, _fourier_terms(W, l1, grid.n)
+
+    def apply(self, P: np.ndarray) -> np.ndarray:
+        """The flat-self-adjoint e^{2v} (Delta_g + V) on Nyquist-free rfft2
+        coefficients, the one operator apply of solve_symmetrized and
+        smallest_eigenvalue: geometry.spectral_laplacian_plus_terms, no
+        transform, when V has Fourier terms (potential_modes), else
+        geometry.spectral_laplacian_plus, one FFT pair."""
+        terms = self.potential_modes[1]
+        if terms is None:
+            return spectral_laplacian_plus(P, self.potential.values, self.grid)
+        return spectral_laplacian_plus_terms(P, terms, self.grid)
 
     @cached_property
     def preconditioner(self):
@@ -150,15 +180,23 @@ def make_connection(omega: OneForm, grid: TorusGrid) -> Connection:
     (geometry.oneform_calculus): V = e^{-2v} (w1^2 + w2^2 - div w), and the
     kernel (KernelBasis), nontrivial exactly when w is exact: when the curl
     and the two cycle periods vanish up to a spectral-noise threshold.  A
-    nonzero period gives holonomy != 1: no periodic solution of du + u w = 0."""
+    nonzero period gives holonomy != 1: no periodic solution of du + u w = 0.
+
+    The curl's sup-norm is bounded by its spectral_l1 / n^2, which settles
+    the curl without an inverse FFT when the bound is below the threshold
+    (exactly 0 on every built-in preset, n = 32 to 1024); else the curl is
+    transformed back and its sup-norm decides, with the same outcome."""
     calculus = oneform_calculus(omega, grid)
     eps = 1e-8 * (1.0 + max(np.max(np.abs(omega.c1)), np.max(np.abs(omega.c2))))
-    curl_inf = float(np.max(np.abs(next(calculus))))
+    curl = next(calculus)
+    curl_free = (spectral_l1(curl) <= eps * grid.n**2
+                 or not float(np.max(np.abs(from_spectral(curl, grid)))) > eps)
+    del curl
     pot = omega.c1**2 + omega.c2**2
     pot -= next(calculus)
     pot /= grid.exp2v
     kernel = KernelBasis(dim=0, grid=grid)
-    if not (curl_inf > eps or abs(np.mean(omega.c1)) > eps or abs(np.mean(omega.c2)) > eps):
+    if curl_free and not (abs(np.mean(omega.c1)) > eps or abs(np.mean(omega.c2)) > eps):
         tau = np.exp(-next(calculus))
         tau /= np.sqrt(np.sum(tau**2 * grid.area_element))
         kernel = KernelBasis(dim=1, tau1=ScalarField(tau), grid=grid)
@@ -292,19 +330,56 @@ def require_converged(info: PCGInfo, what: str) -> None:
 
 COARSE_K = 6           # the coarse modes |k_x|, |k_y| <= COARSE_K: 169 of them
 COARSE_SHIFT = 4 * np.pi**2   # the rank-one shift along tau1's low modes: the lowest k^2
+# The most Fourier terms of e^{2v} h^2 V that Connection.apply convolves
+# with instead of spending an FFT pair: the break-even at n = 128, where
+# an apply with 9 terms along k_x took 0.22 ms against 0.23 ms for the pair
+# (5 terms 0.19, 13 terms 0.28).  At n = 256 the break-even is near 17
+# terms, and at n = 1024 17 terms took 11 ms against 19 ms.
+TERMS_CAP = 9
+# The share of the l1 norm of e^{2v} h^2 V's fft2 coefficients that its
+# Fourier terms may leave out, and so about the relative change they make
+# in the potential.  On the built-in connections the rest of the spectrum is
+# a roundoff tail of at most 6.5e-13 (n = 128 and 1024); on a potential
+# read from a file it is usually most of the spectrum.
+TERMS_TAIL = 1e-11
+
+
+def _fourier_terms(W: np.ndarray, l1: float, n: int) -> tuple | None:
+    """The fewest entries of the window W of a real array's fft2 (of
+    half-width L, the array's spectral_l1 being l1) that leave at most
+    TERMS_TAIL of l1 out, as (l_x, l_y, c) triples for
+    geometry.spectral_laplacian_plus_terms: the window made Hermitian, so
+    that l and -l are kept together and c(-l) = conj c(l).  None when more
+    than TERMS_CAP are needed, when the window's entries leave too much out,
+    or when the window wraps (n <= 2 L); () when l1 is 0."""
+    L = W.shape[0] // 2
+    if n <= 2 * L:
+        return None
+    W = 0.5 * (W + W[::-1, ::-1].conj())
+    size = np.abs(W)
+    ranked = np.sort(size, axis=None)[::-1]
+    enough = np.flatnonzero(np.r_[l1, l1 - np.cumsum(ranked)] <= TERMS_TAIL * l1)
+    if not enough.size or enough[0] > TERMS_CAP:
+        return None
+    keep = size >= ranked[enough[0] - 1] if enough[0] else np.zeros(size.shape, bool)
+    if np.count_nonzero(keep) > TERMS_CAP:
+        return None
+    return tuple((int(a) - L, int(b) - L, complex(W[a, b])) for a, b in zip(*np.nonzero(keep)))
 
 
 def coarse_block(conn: Connection, K: int) -> np.ndarray:
     """The Galerkin block A_L = diag(k^2) + W(k - l) of solve_symmetrized's
-    operator on the modes |k_x|, |k_y| <= K, W the fft2 of e^{2v} h^2 V:
-    exact, since the Nyquist mask never reaches those modes.  A Hermitian
-    (m^2, m^2) matrix, m = 2 K + 1, over the modes in C order of
-    geometry.window's (k_x + K, k_y + K); one FFT.  COARSE_K builds
-    Connection.preconditioner's block, EIG_START_K the eigen-solve's start."""
+    operator on the modes |k_x|, |k_y| <= K <= COARSE_K, W the fft2 of
+    e^{2v} h^2 V: exact, since the Nyquist mask never reaches those modes.
+    A Hermitian (m^2, m^2) matrix, m = 2 K + 1, over the modes in C order
+    of geometry.window's (k_x + K, k_y + K).  W is read from the
+    connection's potential_modes, whose one FFT every block shares.
+    COARSE_K builds Connection.preconditioner's block, EIG_START_K the
+    eigen-solve's start."""
     grid = conn.grid
     m = 2 * K + 1
-    W = low_modes(grid.area_element * conn.potential.values, 2 * K)
-    d = np.arange(m)[:, None] - np.arange(m)[None, :] + 2 * K     # k - l + 2K
+    W = conn.potential_modes[0]
+    d = np.arange(m)[:, None] - np.arange(m)[None, :] + 2 * COARSE_K   # k - l + 2 COARSE_K
     A = W[d[:, None, :, None], d[None, :, None, :]].reshape(m * m, m * m)
     A[np.diag_indices(m * m)] += window(grid.k2, K).reshape(-1)
     return A
@@ -349,12 +424,14 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
 
     The Krylov vectors are rfft2 coefficients masked by grid.mask (all ones
     on the 5-point twin, whose symbol grid.k2 is positive on the Nyquist
-    modes): b is transformed once, each step applies
-    geometry.spectral_laplacian_plus (one FFT pair) and
+    modes): b is transformed once, each step applies Connection.apply and
     conn.preconditioner, inner products are Parseval's, tau1 is deflated by
     KernelBasis.deflation (in the right-hand side, the operator and the
     preconditioner), and x is transformed back once.  b is not kept once
-    transformed.
+    transformed.  The apply convolves with the potential's Fourier terms
+    when it has a few, as every built-in connection's has, and costs no
+    FFT; else it is one FFT pair.  A solve then costs 2 FFTs whatever its
+    step count, or 2 per step and 2 more.
 
     The preconditioner is block Jacobi over a Fourier split, a coarse space
     solved exactly beside a diagonal smoother (Nicolaides, SIAM J. Numer.
@@ -367,17 +444,19 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
     steps with it and takes 5 with the block (flat and conformal, both
     discretizations, n = 256 and 1024), and 3 in place of 6 on
     harmonic:1,0.5.  The block is factored in the first solve of each
-    connection (one FFT).  Inside the PCG numpy's overflow and invalid
+    connection, from Connection.potential_modes (one FFT, transient, taken
+    before b is transformed; the apply's terms come from it too).  Inside
+    the PCG numpy's overflow and invalid
     value errors are off whatever the caller's np.errstate, so a non-finite
     step ends it on pcg's own `non_finite` reason.
     """
-    grid, V = conn.grid, conn.potential.values
+    grid = conn.grid
     deflate = conn.kernel.deflation()   # in place: only ever given pcg's temporaries
+    precondition = conn.preconditioner  # before B: the first one's FFT is transient
     B = deflate(to_spectral(b, grid))
     del b
-    precondition = conn.preconditioner
     with np.errstate(over="ignore", invalid="ignore"):
-        X, info = pcg(lambda P: deflate(spectral_laplacian_plus(P, V, grid)), B,
+        X, info = pcg(lambda P: deflate(conn.apply(P)), B,
                       precond=lambda R: deflate(precondition(R)),
                       inner=grid.inner, tol=tol, max_iter=max_iter)
     require_converged(info, "bundle Poisson PCG")
@@ -417,21 +496,24 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
     Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23 (2001) 517-541,
     Alg. 4.1 with block size 1) on the pencil K x = lam M x, in Fourier space
     like solve_symmetrized: the vectors are Nyquist-free rfft2 coefficients,
-    K is geometry.spectral_laplacian_plus (one FFT pair), M the masked
-    e^{2v} (the identity on the flat torus, else one FFT pair), the
+    K is Connection.apply (no FFT on a potential with Fourier terms, else
+    one FFT pair), M the masked e^{2v} (the identity on the flat torus,
+    else one FFT pair), the
     preconditioner T the diagonal grid.shifted_inverse, inner products are
     Parseval's, and tau1 is deflated by KernelBasis.deflation.  Each step is
     a Rayleigh-Ritz on span{x, T r, p} made M-orthonormal by Gram-Schmidt in
     place; K x and K p, and M x and M p on a conformal metric, are carried
-    along, so a step costs one operator and one mass apply: 2 FFTs on the
-    flat torus, 4 on a conformal metric.  p is dropped when it is nearly
+    along, so a step costs one operator and one mass apply: on a potential
+    with Fourier terms no FFT on the flat torus and 2 on a conformal metric,
+    else 2 and 4.  p is dropped when it is nearly
     dependent on the other two.  The eigenvector is transformed back once.
 
     The start (`_coarse_start`) is a Rayleigh-Ritz on the coarse space of
     the two-level preconditioner (Nicolaides, SIAM J. Numer. Anal. 24
     (1987) 355-365): the lowest eigenvector of coarse_block on the nine
     modes |k_x|, |k_y| <= EIG_START_K = 1, with tau1's window shifted out
-    of the way, which costs one FFT and an 18 x 18 real eigh.  It separates
+    of the way, which costs an 18 x 18 real eigh and the one FFT of
+    Connection.potential_modes, when no solve has paid it yet.  It separates
     the near-degenerate cluster of the lowest Fourier modes that a white
     noise start spent most of its steps on: 13 applies in place of 24 to 36
     on exact:cos-x:0.3 at n = 128.  `seed` draws a white-noise perturbation
@@ -447,7 +529,7 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
     residual; it never returns a pair short of tol.
     """
     grid = conn.grid
-    V, n2, inner = conn.potential.values, grid.n**2, grid.inner
+    n2, inner = grid.n**2, grid.inner
     deflate = conn.kernel.deflation(against_weighted=True)
     conformal = grid.v.values.any()
 
@@ -491,7 +573,7 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
 
     X = deflate(_coarse_start(conn, np.random.default_rng(seed)))
     x = orthonormalize([X, None, mass(X)], [])
-    x[1] = spectral_laplacian_plus(X, V, grid)
+    x[1] = conn.apply(X)
     p = None
     best, since_best, steps = np.inf, 0, 0
     while True:
@@ -515,7 +597,7 @@ def smallest_eigenvalue(conn: Connection, seed: int = 0, tol: float = EIG_TOL,
         w = orthonormalize([R, None, mass(R)], [x])
         if w is None:
             raise stopped("stall")
-        w[1] = spectral_laplacian_plus(w[0], V, grid)
+        w[1] = conn.apply(w[0])
         q = None if p is None else orthonormalize(p, [x, w])
         basis = [x, w] + ([q] if q else [])
         G = np.array([[inner(a[0], b[1]) for b in basis] for a in basis])
@@ -541,7 +623,7 @@ def _coarse_start(conn: Connection, rng: np.random.Generator) -> np.ndarray:
     The Hermitian block is solved as its real symmetric embedding
     [[Re A, -Im A], [Im A, Re A]], and of the eigenvector z the larger of the
     real fields z + conj z(-k) and i (conj z(-k) - z) is kept (one of them
-    may vanish).  One FFT, the block's."""
+    may vanish).  No FFT beyond Connection.potential_modes' own."""
     grid, K = conn.grid, EIG_START_K
     m2 = (2 * K + 1) ** 2
     A = coarse_block(conn, K)

@@ -225,14 +225,16 @@ def exterior_derivative(u: ScalarField, grid: TorusGrid) -> OneForm:
 
 
 def oneform_calculus(a: OneForm, grid: TorusGrid):
-    """The curl d1 a2 - d2 a1, the flat divergence d1 a1 + d2 a2 and the
-    zero-mean primitive f = -Delta_flat^+ div (df = a when a is exact), in
-    that order, each only when asked for: 2 FFTs for the transforms of a,
-    then one inverse FFT each.  Beside the two transforms it keeps no
-    spectrum: the divergence's, then the primitive's, are formed in them."""
+    """The rfft2 coefficients of the curl d1 a2 - d2 a1, then the flat
+    divergence d1 a1 + d2 a2 and the zero-mean primitive f = -Delta_flat^+
+    div (df = a when a is exact), in that order, each only when asked for:
+    2 FFTs for the transforms of a, then one inverse FFT for each of the
+    last two (from_spectral gives the curl's, when it is wanted).  Beside
+    the two transforms it keeps no spectrum: the divergence's, then the
+    primitive's, are formed in them."""
     _check_shape(a, grid)
     A1, A2 = _rfft2(a.c1), _rfft2(a.c2)
-    yield np.fft.irfft2(1j * grid.kx * A2 - 1j * grid.ky * A1, s=a.c1.shape)
+    yield 1j * grid.kx * A2 - 1j * grid.ky * A1
     A1 *= 1j * grid.kx
     A1 += np.multiply(A2, 1j * grid.ky, out=A2)
     del A2
@@ -265,8 +267,10 @@ def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np
     form e^{2v} (Delta_g + V) of the bundle Laplacian, one FFT pair, with the
     Nyquist mask folded into the symbol.  e^{2v} h^2 V (grid.area_element
     and V) multiplies in place and 1/h^2 = n^2, a power of two and so exact,
-    scales the spectral result: grid.exp2v would allocate a field per call,
-    and the memory peak of a Green solve is in this apply."""
+    scales the spectral result: grid.exp2v would allocate a field per call.
+    Beside its result it holds two n x n temporaries.  bundle.Connection.apply
+    takes it only for a potential without a short spectrum (see
+    spectral_laplacian_plus_terms)."""
     q = np.fft.irfft2(P, s=(grid.n, grid.n))
     q *= grid.area_element
     q *= V
@@ -276,6 +280,58 @@ def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np
     sh += grid.k2 * P
     sh *= grid.mask
     return sh
+
+
+def spectral_laplacian_plus_terms(P: np.ndarray, terms: tuple, grid: TorusGrid) -> np.ndarray:
+    """spectral_laplacian_plus(P, V, grid) without transforms, for a V whose
+    e^{2v} h^2 V is the trigonometric polynomial with the fft2 coefficients
+    `terms`: (l_x, l_y, c) triples with |l_x|, |l_y| < n/2, closed under
+    l -> -l with c(-l) = conj c(l).  n^2 rfft2(e^{2v} h^2 V p) is then the
+    circular convolution sum_l c(l) Q(k - l), Q the fft2 of p (Boyd,
+    Chebyshev and Fourier Spectral Methods, 2nd ed.), read off P: its
+    columns 0 and n/2 projected onto real fields, as irfft2 does, and a
+    k_y < 0 or > n/2 read at -k and conjugated.  The convolution's columns
+    0 and n/2 are projected in turn, as rfft2's output is a real array's:
+    left out, the imaginary part of its (0, 0) entry, roundoff that no
+    term can remove, gave the eigen-solve a null direction it stalled on.
+
+    It runs over blocks of at most n/4 rows and about 2^14 coefficients
+    (256 kB), each copied once with the terms' reach around it, so beside
+    its result it holds a few blocks: at n = 1024 an apply with five terms
+    took 5.8 ms (14 ms in whole-array passes) against 20 ms for the FFT
+    pair, and at n = 128 0.15 ms against 0.2."""
+    n, m = P.shape
+    S = np.multiply(grid.k2, P)
+    if terms:
+        lx_max = max(abs(t[0]) for t in terms)
+        ly_max = max(abs(t[1]) for t in terms)
+        neg = -np.arange(n) % n
+        # Q's columns -ly_max..0 and n/2..n/2+ly_max, 0 and n/2 projected
+        edges = np.concatenate([P[neg, ly_max::-1].conj(),
+                                P[neg, n // 2 - ly_max:][:, ::-1].conj()], axis=1)
+        for j, c in ((ly_max, 0), (ly_max + 1, -1)):
+            edges[:, j] += P[:, c]
+            edges[:, j] *= 0.5
+        rows = max(1, min(n // 4, (1 << 14) // m))
+        block = np.empty((rows + 2 * lx_max, m + 2 * ly_max), dtype=complex)
+        work = np.empty((rows, m), dtype=complex)
+        for r0 in range(0, n, rows):
+            b = min(rows, n - r0)
+            Q, w = block[: b + 2 * lx_max], work[:b]   # Q[a, ly_max + c] = Q(r0 - lx_max + a, c)
+            around = np.arange(r0 - lx_max, r0 + b + lx_max) % n
+            Q[:, : ly_max + 1] = edges[around, : ly_max + 1]
+            Q[:, ly_max + 1: ly_max + m - 1] = P[around, 1:-1]
+            Q[:, ly_max + m - 1:] = edges[around, ly_max + 1:]
+            Sb = S[r0: r0 + b]
+            for lx, ly, c in terms:
+                Sb += np.multiply(Q[lx_max - lx: lx_max - lx + b, ly_max - ly: ly_max - ly + m],
+                                  c, out=w)
+        for c in (0, -1):
+            kp = grid.k2[:, c] * P[:, c]
+            conv = S[:, c] - kp
+            S[:, c] = 0.5 * (conv + conv[neg].conj()) + kp
+    S *= grid.mask
+    return S
 
 
 def to_spectral(u: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -309,9 +365,21 @@ def set_window(U: np.ndarray, Z: np.ndarray, m: int) -> None:
     U[np.arange(-m, m + 1) % U.shape[0], : m + 1] = Z
 
 
-def low_modes(u: np.ndarray, m: int) -> np.ndarray:
-    """The `window` of the real array u's fft2 coefficients, from one rfft2."""
-    return window(_rfft2(u), m)
+def low_modes(u: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The `window` of the real array u's fft2 coefficients and their
+    spectral_l1, from one rfft2."""
+    U = _rfft2(u)
+    return window(U, m), spectral_l1(U)
+
+
+def spectral_l1(U: np.ndarray) -> float:
+    """The l1 norm of the fft2 coefficients of the real n x n array with
+    rfft2 coefficients U, and so n^2 times a bound on its sup-norm: columns
+    0 and n/2 count once, the others twice, for their conjugates at -k.  On
+    columns 0 and n/2 irfft2 reads only their real fields' part, whose l1
+    norm is no larger, so the bound holds for any U."""
+    a = np.abs(U)
+    return float(2.0 * np.sum(a) - np.sum(a[:, 0]) - np.sum(a[:, -1]))
 
 
 def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:

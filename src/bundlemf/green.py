@@ -21,7 +21,13 @@ the exact coarse block on |k_x|, |k_y| <= COARSE_K = 6, shifted along
 tau1's low modes when the kernel is one-dimensional, and the diagonal
 (k^2 + 1)^{-1} elsewhere): 5 steps per Green solve on exact:cos-x:0.3 and
 3 on harmonic:1,0.5, where the diagonal alone took 11 and 6.
-GreenData.pcg_iterations records the count.
+GreenData.pcg_iterations records the count.  Each step's operator apply
+(bundle.Connection.apply) convolves with the potential's few Fourier terms
+on every built-in connection and spends no FFT, so a Green solve costs 4
+FFTs on a fresh connection (the right-hand side, the potential, tau1, and
+the way back) and 2 once the connection's spectra are cached; a potential
+without a short spectrum, read from a file, pays one FFT pair per step on
+top.
 """
 
 from __future__ import annotations

@@ -42,9 +42,11 @@ from bundlemf.geometry import (
     flat_laplacian_raw,
     fourier_multiply,
     from_spectral,
+    oneform_calculus,
     pseudo_inverse,
     random_band_limited,
     spectral_inner,
+    spectral_l1,
     spectral_laplacian_plus,
     to_spectral,
     window,
@@ -72,6 +74,21 @@ def folded_apply(conn, grid):
     on real arrays."""
     V = conn.potential.values
     return lambda p: from_spectral(spectral_laplacian_plus(to_spectral(p, grid), V, grid), grid)
+
+
+def wide_connection(grid, seed=4):
+    """df with f a random field of modes |k_x|, |k_y| <= 6: a potential with
+    hundreds of Fourier terms, applied by an FFT pair."""
+    f = random_band_limited(grid, np.random.default_rng(seed), amplitude=0.3)
+    return make_connection(exterior_derivative(f, grid), grid)
+
+
+def count_applies(monkeypatch) -> list:
+    """A list that records every Connection.apply call made from here on."""
+    applies, apply = [], bundle.Connection.apply
+    monkeypatch.setattr(bundle.Connection, "apply",
+                        lambda self, P: applies.append(1) or apply(self, P))
+    return applies
 
 
 def five_point_apply(conn, grid):
@@ -188,6 +205,22 @@ class TestKernelBasis:
     def test_nonvanishing(self, grid64):
         kb = df_connection(grid64, 0.4).kernel
         assert np.min(np.abs(kb.tau1.values)) > 0.0
+
+    @pytest.mark.parametrize("scale, dim", [(0.5, 1), (2.0, 0)])
+    def test_curl_past_its_spectral_bound(self, grid32, scale, dim):
+        """A curl whose spectral bound (spectral_l1 / n^2) exceeds the
+        threshold but whose sup-norm is half of it is transformed back and
+        found closed; at twice the threshold, not."""
+        n = 32
+        rng = np.random.default_rng(13)
+        df = exterior_derivative(cos_x_field(n, 0.3), grid32)
+        dg = exterior_derivative(ScalarField(rng.standard_normal((n, n))), grid32)
+        curl = next(oneform_calculus(OneForm(-dg.c2, dg.c1), grid32))
+        eps = 1e-8 * (1.0 + np.max(np.abs(df.c1)))
+        t = scale * eps / np.max(np.abs(from_spectral(curl, grid32)))
+        assert t * spectral_l1(curl) / n**2 > 2 * eps
+        w = OneForm(df.c1 - t * dg.c2, df.c2 + t * dg.c1)
+        assert make_connection(w, grid32).kernel.dim == dim
 
 
     @given(seed=st.integers(0, 2**32 - 1), kmax=st.integers(1, 6),
@@ -540,11 +573,12 @@ class TestSpectralPCG:
             assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
 
     def test_one_fft_pair_per_step(self, monkeypatch):
-        """On the grid and on its 5-point twin, once the connection's cached
-        spectra (tau1's transform and the coarse block's) are warm: one FFT
-        pair per step, plus b's transform and x's way back."""
+        """On a potential with a full spectrum, on the grid and on its
+        5-point twin, once the connection's cached spectra (tau1's transform
+        and the potential's) are warm: one FFT pair per step, plus b's
+        transform and x's way back."""
         grid = build_grid(32, cos_x_field(32, 0.3))
-        conn = df_connection(grid)
+        conn = wide_connection(grid)
         b = random_band_limited(grid, np.random.default_rng(6)).values
         for solve_conn in (conn, conn.five_point):
             solve_symmetrized(b, solve_conn)
@@ -557,17 +591,98 @@ class TestSpectralPCG:
             assert len(infos) == 1 and infos[0].iterations > 0
             assert len(calls) == 2 * infos[0].iterations + 2
 
+    def test_no_fft_per_step_with_fourier_terms(self, monkeypatch):
+        """The exact connection's potential has five Fourier terms: once the
+        cached spectra are warm, a solve spends b's transform and x's way
+        back and no FFT in its 5 steps, on the grid and on its twin."""
+        grid = build_grid(32, cos_x_field(32, 0.3))
+        conn = df_connection(grid)
+        b = random_band_limited(grid, np.random.default_rng(6)).values
+        for solve_conn in (conn, conn.five_point):
+            solve_symmetrized(b, solve_conn)
+        calls = count_fft_calls(monkeypatch)
+        infos = spy_pcg(monkeypatch, bundle)
+        for solve_conn in (conn, conn.five_point):
+            calls.clear()
+            infos.clear()
+            solve_symmetrized(b, solve_conn)
+            assert len(infos) == 1 and infos[0].iterations >= 5
+            assert len(calls) == 2
+
     def test_memory_peak(self):
-        """The PCG holds x, r, p and one work vector, the spectral apply two
+        """The PCG holds x, r, p and one work vector, the apply two
         temporaries at most, and the right-hand side, handed over as a
         temporary, is freed once transformed: at n = 256 the traced peak
-        stays within 6 arrays of rfft2 coefficients (5.25 measured)."""
+        stays within 6 arrays of rfft2 coefficients (5.00 measured with the
+        Fourier-term apply, 5.25 with the FFT pair)."""
         n = 256
         grid = build_grid(n)
         conn = df_connection(grid)
         b = random_band_limited(grid, np.random.default_rng(7)).values
         peak = traced_peak(lambda: solve_symmetrized(b.copy(), conn))
         assert peak <= 6 * 16 * n * (n // 2 + 1)
+
+
+class TestFourierTermsApply:
+    """Connection.apply convolves with the Fourier terms of e^{2v} h^2 V when
+    it has a few (geometry.spectral_laplacian_plus_terms) and spends the FFT
+    pair of spectral_laplacian_plus otherwise."""
+
+    @pytest.mark.parametrize("preset, v, modes", [
+        ("exact:cos-x:0.3", None, {(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0)}),
+        ("exact:cos-x:0.3", "cos-x:0.3", {(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0)}),
+        ("harmonic:1,0.5", None, {(0, 0)}),
+        ("zero", None, set()),
+        ("diagonal", None, {(0, 0), (1, 1), (-1, -1), (2, 2), (-2, -2)})])
+    def test_equals_the_fft_apply(self, monkeypatch, tmp_path, preset, v, modes):
+        """To 1e-14 relative and with no FFT, on the grid and on its 5-point
+        twin, on coefficients whose columns 0 and n/2 are not a real field's
+        (irfft2 reads their real fields' part).  `diagonal` is d(0.2 cos 2 pi
+        (x + y)) read from a file, whose terms shift k_y both ways."""
+        n = 32
+        grid = build_grid(n, make_v_field(v, n) if v else None)
+        if preset == "diagonal":
+            c = -0.4 * np.pi * np.sin(2 * np.pi * (axis(n)[:, None] + axis(n)[None, :]))
+            np.save(tmp_path / "w.npy", np.stack([c, c]))
+            preset = f"file:{tmp_path / 'w.npy'}"
+        conn = make_connection(make_connection_form(preset, grid), grid)
+        assert {t[:2] for t in conn.potential_modes[1]} == modes
+        rng = np.random.default_rng(9)
+        P = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
+        calls = count_fft_calls(monkeypatch)
+        for on in (conn, conn.five_point):
+            calls.clear()
+            got = on.apply(P)
+            assert not calls
+            want = spectral_laplacian_plus(P, on.potential.values, on.grid)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_full_spectrum_takes_the_fft_pair(self, monkeypatch, tmp_path):
+        """A file: connection of white noise has no short spectrum: its
+        apply is spectral_laplacian_plus, bit for bit, one FFT pair."""
+        n = 32
+        grid = build_grid(n)
+        np.save(tmp_path / "w.npy", np.random.default_rng(3).standard_normal((2, n, n)))
+        conn = make_connection(make_connection_form(f"file:{tmp_path / 'w.npy'}", grid), grid)
+        assert conn.potential_modes[1] is None
+        P = to_spectral(np.random.default_rng(4).standard_normal((n, n)), grid)
+        calls = count_fft_calls(monkeypatch)
+        got = conn.apply(P)
+        assert len(calls) == 2
+        assert np.array_equal(got, spectral_laplacian_plus(P, conn.potential.values, grid))
+
+    @pytest.mark.parametrize("v", [None, "cos-x:0.3"], ids=["flat", "cos-x"])
+    @pytest.mark.parametrize("preset", ["zero", "harmonic:1,0.5", "exact:cos-x:0.3"])
+    def test_builtin_presets_need_no_transform(self, monkeypatch, preset, v):
+        """Every built-in connection's apply spends no FFT at n = 64."""
+        n = 64
+        grid = build_grid(n, make_v_field(v, n) if v else None)
+        conn = make_connection(make_connection_form(preset, grid), grid)
+        assert conn.potential_modes[1] is not None
+        P = to_spectral(np.random.default_rng(5).standard_normal((n, n)), grid)
+        calls = count_fft_calls(monkeypatch)
+        conn.apply(P)
+        assert not calls
 
 
 class TestCoarsePreconditioner:
@@ -702,19 +817,18 @@ class TestPoincare:
         if harmonic:
             assert abs(lam - (a * a + b * b)) <= 1e-10 * (a * a + b * b)
 
-    @pytest.mark.parametrize("v, per_step", [(None, 2), ("cos-x:0.3", 4)],
+    @pytest.mark.parametrize("v, per_step", [(None, 0), ("cos-x:0.3", 2)],
                              ids=["flat", "cos-x"])
     def test_fft_budget(self, monkeypatch, v, per_step):
-        """Each step applies the operator once, one FFT pair, and on a
-        conformal metric the mass once, one more pair (the initial x pays the
-        same); the start's coarse block costs one FFT (the start itself is
+        """Each step applies the operator once, with no FFT for the exact
+        connection's five Fourier terms, and on a conformal metric the mass
+        once, one FFT pair (the initial x pays the same); the start's coarse
+        block costs one FFT, the potential's transform (the start itself is
         drawn in Fourier space), tau1 and e^{2v} tau1 are transformed once
         and the eigenvector back once."""
         grid = build_grid(32, make_v_field(v, 32) if v else None)
         conn = df_connection(grid)
-        applies = []
-        monkeypatch.setattr(bundle, "spectral_laplacian_plus",
-                            lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
+        applies = count_applies(monkeypatch)
         calls = count_fft_calls(monkeypatch)
         smallest_eigenvalue(conn)
         assert len(applies) > 1
@@ -727,9 +841,7 @@ class TestPoincare:
         quotient of e^{-f} sin 2 pi y, to 1e-12."""
         grid = build_grid(128)
         conn = df_connection(grid)
-        applies = []
-        monkeypatch.setattr(bundle, "spectral_laplacian_plus",
-                            lambda *a: applies.append(1) or spectral_laplacian_plus(*a))
+        applies = count_applies(monkeypatch)
         for seed in range(5):
             applies.clear()
             lam, _ = smallest_eigenvalue(conn, seed=seed)
@@ -739,7 +851,7 @@ class TestPoincare:
     def test_memory_peak(self):
         """Gram-Schmidt and the updates run in place, r is freed once
         preconditioned, and on the flat torus no mass images are carried: at
-        n = 128 the traced peak stays within 10 n x n arrays (8.2 measured)."""
+        n = 128 the traced peak stays within 10 n x n arrays (7.7 measured)."""
         n = 128
         grid = build_grid(n)
         conn = df_connection(grid)

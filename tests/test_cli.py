@@ -116,15 +116,17 @@ class TestCommands:
         assert load_field(str(tmp_path / "qk_field.npy"), 64).shape == (64, 64)
 
     def test_qk_fft_calls(self, monkeypatch, tmp_path):
-        """The whole qk command at n = 256 makes 22 numpy FFT calls: 5 to
-        build the problem, 14 in the Green solve and 3 for the audit's
-        covariant energy."""
+        """The whole qk command at n = 256 makes 11 numpy FFT calls: 4 to
+        build the problem, 4 in the Green solve (the right-hand side's
+        transform, the potential's and tau1's, and the way back: the
+        exact connection's operator applies convolve with its five Fourier
+        terms and spend none) and 3 for the audit's covariant energy."""
         argv = ["qk", "--n", "256", "--k", "64", "--connection", "exact:cos-x:0.3",
                 "--p", "3,5", "--out", str(tmp_path)]
         calls = count_fft_calls(monkeypatch)
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(argv) == 0
-        assert len(calls) == 22
+        assert len(calls) == 11
 
     def test_sweep(self, tmp_path):
         assert run(tmp_path, ["sweep", "--n", "32", "--kmax", "4"]) == 0
@@ -149,7 +151,7 @@ class TestMemory:
         """The whole qk command, problem included, at n = 256: the problem
         keeps 8.5 n x n arrays and the audit, the peak, adds tau1's cached
         transform, G, the section and the energy's 4; at most 16.5 arrays
-        (16.07 measured)."""
+        (16.09 measured)."""
         n = 256
         argv = ["qk", "--n", str(n), "--k", "64", "--connection", "exact:cos-x:0.3",
                 "--p", "3,5", "--out", str(tmp_path)]
@@ -190,21 +192,26 @@ class TestSetup:
                                                     ("harmonic:1,0.5", 4)])
     def test_build_problem_fft_budget(self, monkeypatch, connection, budget, v):
         """make_connection transforms w's components once (2 FFTs), then
-        pays one inverse FFT for the curl, one for the divergence and, for
-        an exact w only, one for the primitive; the exact preset's form
-        d(amp cos 2 pi x) is sampled in closed form, with no FFT."""
+        pays at most one inverse FFT each for the curl, the divergence and,
+        for an exact w only, the primitive: `budget`.  The curl is settled
+        from its spectrum when its bound is below the threshold, as on these
+        presets (the bound is 0), and its inverse FFT is not paid: one FFT
+        fewer.  The exact preset's form d(amp cos 2 pi x) is sampled in
+        closed form, with no FFT, and the potential is not transformed
+        here: its transform waits for the first solve."""
         cfg = load_config(None, {"n": 32, "connection": connection, "v_preset": v})
         calls = count_fft_calls(monkeypatch)
         build_problem(cfg)
-        assert len(calls) <= budget
+        assert len(calls) == budget - 1
 
     def test_build_problem_peak(self):
         """At n = 256 on the exact connection the grid, h and w hold 6.5
-        n x n arrays, and the curl's inverse FFT beside w's two transforms
-        adds 5: at most 11.8 arrays (11.56 measured)."""
+        n x n arrays, and w's two transforms with the curl's spectrum,
+        formed from two temporaries, add 4.3: at most 11.0 arrays (10.81
+        measured; 11.56 when the curl was transformed back)."""
         n = 256
         cfg = load_config(None, {"n": n, "connection": "exact:cos-x:0.3"})
-        assert traced_peak(lambda: build_problem(cfg)) <= 11.8 * 8 * n * n
+        assert traced_peak(lambda: build_problem(cfg)) <= 11.0 * 8 * n * n
 
 
 class TestExitCodes:

@@ -165,12 +165,15 @@ class TestForwardTransform:
     @pytest.mark.parametrize("n, m", [(16, 12), (16, 6), (64, 6)])
     def test_window_is_the_fft2_window(self, n, m):
         """low_modes and window give fft2(u)[k mod n] on |k_x|, |k_y| <= m,
-        also past the rfft2 columns (m = 12 > n/2 = 8 wraps), and
-        set_window writes the k_y >= 0 half back where window read it."""
+        also past the rfft2 columns (m = 12 > n/2 = 8 wraps), with the l1
+        norm of all of fft2(u), and set_window writes the k_y >= 0 half back
+        where window read it."""
         u = np.random.default_rng(n + m).standard_normal((n, n))
         k = np.arange(-m, m + 1) % n
-        want = np.fft.fft2(u)[np.ix_(k, k)]
-        assert np.allclose(low_modes(u, m), want, rtol=0, atol=1e-12 * n * n)
+        full = np.fft.fft2(u)
+        W, l1 = low_modes(u, m)
+        assert np.allclose(W, full[np.ix_(k, k)], rtol=0, atol=1e-12 * n * n)
+        assert abs(l1 - np.sum(np.abs(full))) <= 1e-12 * l1
         if 2 * m < n:
             U = np.fft.rfft2(u)
             V = np.zeros_like(U)
@@ -234,17 +237,18 @@ class TestOneFormCalculus:
     def test_parts_and_fft_budget(self, monkeypatch, grid64):
         """w = df + (-g_y, g_x) + a dx + b dy has curl Delta_classic g,
         divergence Delta_classic f and primitive f - mean f; the transforms
-        of w cost 2 FFTs and each part one more, paid only when asked for."""
+        of w cost 2 FFTs, the curl comes as their rfft2 coefficients, and
+        each other part costs one FFT more, paid only when asked for."""
         rng = np.random.default_rng(11)
         f, g = (random_band_limited(grid64, rng).values for _ in range(2))
         df = exterior_derivative(ScalarField(f), grid64)
         dg = exterior_derivative(ScalarField(g), grid64)
         w = OneForm(df.c1 - dg.c2 + 0.7, df.c2 + dg.c1 - 1.3)
-        expected = (-flat_laplacian_raw(g, grid64), -flat_laplacian_raw(f, grid64),
-                    f - f.mean())
+        expected = (np.fft.rfft2(-flat_laplacian_raw(g, grid64)),
+                    -flat_laplacian_raw(f, grid64), f - f.mean())
         calls = count_fft_calls(monkeypatch)
         for k, (part, ref) in enumerate(zip(oneform_calculus(w, grid64), expected)):
-            assert len(calls) == 3 + k
+            assert len(calls) == 2 + k
             assert np.max(np.abs(part - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
