@@ -133,8 +133,9 @@ class Connection:
         blocks there), and V's Fourier terms for `apply` or None
         (_fourier_terms), from one rfft2 on first use.  e^{2v} V = |w|^2 -
         div w does not depend on the metric, and on the built-in
-        connections it has 0 (zero), 1 (harmonic) and 5 (exact:cos-x)
-        terms."""
+        connections it depends on x alone, with 0 (zero), 1 (harmonic) and
+        5 (exact:cos-x) terms on the k_x axis; one that depends on y has
+        none."""
         grid = self.grid
         W, l1 = low_modes(grid.area_element * self.potential.values, 2 * COARSE_K)
         W.setflags(write=False)
@@ -143,9 +144,10 @@ class Connection:
     def apply(self, P: np.ndarray) -> np.ndarray:
         """The flat-self-adjoint e^{2v} (Delta_g + V) on Nyquist-free rfft2
         coefficients, the one operator apply of solve_symmetrized and
-        smallest_eigenvalue: geometry.spectral_laplacian_plus_terms, no
-        transform, when V has Fourier terms (potential_modes), else
-        geometry.spectral_laplacian_plus, one FFT pair."""
+        smallest_eigenvalue: geometry.spectral_laplacian_plus_terms, a
+        row-shift convolution and no transform, when V has Fourier terms
+        (potential_modes: e^{2v} V a short trigonometric polynomial in x
+        alone), else geometry.spectral_laplacian_plus, one FFT pair."""
         terms = self.potential_modes[1]
         if terms is None:
             return spectral_laplacian_plus(P, self.potential.values, self.grid)
@@ -330,11 +332,12 @@ def require_converged(info: PCGInfo, what: str) -> None:
 
 COARSE_K = 6           # the coarse modes |k_x|, |k_y| <= COARSE_K: 169 of them
 COARSE_SHIFT = 4 * np.pi**2   # the rank-one shift along tau1's low modes: the lowest k^2
-# The most Fourier terms of e^{2v} h^2 V that Connection.apply convolves
-# with instead of spending an FFT pair: the break-even at n = 128, where
-# an apply with 9 terms along k_x took 0.22 ms against 0.23 ms for the pair
-# (5 terms 0.19, 13 terms 0.28).  At n = 256 the break-even is near 17
-# terms, and at n = 1024 17 terms took 11 ms against 19 ms.
+# The most Fourier terms of e^{2v} h^2 V, all on the k_x axis, that
+# Connection.apply convolves with instead of spending an FFT pair: the
+# break-even at n = 128, where an apply with 9 terms took 0.22 ms against
+# 0.22 ms for the pair (5 terms 0.14, 13 terms 0.26).  At n = 256 the
+# break-even is near 13 terms, and at n = 1024 17 terms took 18 ms against
+# 37 ms.
 TERMS_CAP = 9
 # The share of the l1 norm of e^{2v} h^2 V's fft2 coefficients that its
 # Fourier terms may leave out, and so about the relative change they make
@@ -347,11 +350,12 @@ TERMS_TAIL = 1e-11
 def _fourier_terms(W: np.ndarray, l1: float, n: int) -> tuple | None:
     """The fewest entries of the window W of a real array's fft2 (of
     half-width L, the array's spectral_l1 being l1) that leave at most
-    TERMS_TAIL of l1 out, as (l_x, l_y, c) triples for
+    TERMS_TAIL of l1 out, as (l_x, c) pairs for
     geometry.spectral_laplacian_plus_terms: the window made Hermitian, so
     that l and -l are kept together and c(-l) = conj c(l).  None when more
-    than TERMS_CAP are needed, when the window's entries leave too much out,
-    or when the window wraps (n <= 2 L); () when l1 is 0."""
+    than TERMS_CAP are needed, when one of them lies off the k_y = 0
+    column (the array depends on y), when the window's entries leave too
+    much out, or when the window wraps (n <= 2 L); () when l1 is 0."""
     L = W.shape[0] // 2
     if n <= 2 * L:
         return None
@@ -362,9 +366,9 @@ def _fourier_terms(W: np.ndarray, l1: float, n: int) -> tuple | None:
     if not enough.size or enough[0] > TERMS_CAP:
         return None
     keep = size >= ranked[enough[0] - 1] if enough[0] else np.zeros(size.shape, bool)
-    if np.count_nonzero(keep) > TERMS_CAP:
+    if np.count_nonzero(keep) > TERMS_CAP or keep[:, :L].any() or keep[:, L + 1:].any():
         return None
-    return tuple((int(a) - L, int(b) - L, complex(W[a, b])) for a, b in zip(*np.nonzero(keep)))
+    return tuple((int(a) - L, complex(W[a, L])) for a in np.flatnonzero(keep[:, L]))
 
 
 def coarse_block(conn: Connection, K: int) -> np.ndarray:
@@ -429,8 +433,9 @@ def solve_symmetrized(b: np.ndarray, conn: Connection, tol: float = PCG_TOL,
     KernelBasis.deflation (in the right-hand side, the operator and the
     preconditioner), and x is transformed back once.  b is not kept once
     transformed.  The apply convolves with the potential's Fourier terms
-    when it has a few, as every built-in connection's has, and costs no
-    FFT; else it is one FFT pair.  A solve then costs 2 FFTs whatever its
+    when it has a few, all on the k_x axis, as every built-in connection's
+    has, and costs no FFT; else (a potential that depends on y, or has a
+    long spectrum) it is one FFT pair.  A solve then costs 2 FFTs whatever its
     step count, or 2 per step and 2 more.
 
     The preconditioner is block Jacobi over a Fourier split, a coarse space

@@ -16,7 +16,6 @@ import json
 import sys
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -203,8 +202,7 @@ def cmd_minimize(cfg: RunConfig, outdir) -> dict:
     init = random_band_limited(spec.grid, rng, amplitude=0.1)
     # a warning (rho >= 8 pi) goes into the summary, also under `python -W error`
     try:
-        with (warnings.catch_warnings(record=True) as caught,
-              np.errstate(over="raise", invalid="raise")):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = minimize(spec, init, solver_options(cfg))
     except FloatingPointError as exc:
@@ -247,24 +245,11 @@ def cmd_sweep(cfg: RunConfig, outdir) -> dict:
     return report
 
 
-@contextmanager
-def _raising(what: str):
-    """numpy overflow and invalid values raised, not warned about (also under
-    `python -W error`), and reported as a NumericalFailure, so the summary
-    is written."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericalFailure(f"{what} left the floating-point range: {exc}") from exc
-
-
 def cmd_green(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
-    with _raising("the Green solve"):
-        gd = solve_green(cfg.p, spec, backend=cfg.backend)
-        lam = critical_value(gd, spec)
-        eta = gd.remainder(spec)
+    gd = solve_green(cfg.p, spec, backend=cfg.backend)
+    lam = critical_value(gd, spec)
+    eta = gd.remainder(spec)
     save_field(gd.G, outdir / "green_field.npy")
     save_field_json(str(outdir / "green_field.json"), "green_field.npy",
                     "scalar", cfg.n, cfg.v_preset)
@@ -279,8 +264,7 @@ def cmd_green(cfg: RunConfig, outdir) -> dict:
 def cmd_critmap(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
     try:
-        with _raising("the critical value map"):
-            out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
+        out = critical_value_map(spec, cfg.stride, backend=cfg.backend)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     np.savetxt(outdir / "critmap.csv", out["values"], fmt="%.17g", delimiter=",")
@@ -323,12 +307,11 @@ def cmd_bubble(cfg: RunConfig, outdir) -> dict:
 
 def cmd_qk(cfg: RunConfig, outdir) -> dict:
     spec = build_problem(cfg)
-    with _raising("the Q_k audit"):
-        try:
-            fam = build_Qk(cfg.p, cfg.k, spec)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        report = qk_audit(fam, spec)
+    try:
+        fam = build_Qk(cfg.p, cfg.k, spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    report = qk_audit(fam, spec)
     report["pcg_iterations"] = fam.greendata.pcg_iterations
     save_field(fam.field, outdir / "qk_field.npy")
     save_field_json(str(outdir / "qk_field.json"), "qk_field.npy", "scalar",
@@ -367,19 +350,25 @@ _HANDLERS = {
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:
-    """Run one command, write its artifacts, return the process exit code."""
+    """Run one command, write its artifacts, return the process exit code.
+    The command runs with numpy's overflow and invalid values raised, not
+    warned about (also under `python -W error`); one that leaves the
+    floating-point range is a numerical failure, so its summary is written."""
     t0 = time.time()
     outdir = Path(cfg.out)
     try:
         if command not in _HANDLERS:
             raise UsageError(f"unknown command {command!r}")
         outdir.mkdir(parents=True, exist_ok=True)
-        payload = _HANDLERS[command](cfg, outdir)
+        with np.errstate(over="raise", invalid="raise"):
+            payload = _HANDLERS[command](cfg, outdir)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalFailure, ExponentOverflowError, SolvabilityError,
+    except (NumericalFailure, FloatingPointError, SolvabilityError,
             EigensolveError, ConvergenceError) as exc:
+        if isinstance(exc, FloatingPointError) and not isinstance(exc, ExponentOverflowError):
+            exc = NumericalFailure(f"{command} left the floating-point range: {exc}")
         payload = {**getattr(exc, "payload", {}), "error": str(exc)}
         write_summary(outdir, command, cfg, payload, "error", t0)
         print(f"numerical failure: {exc}", file=sys.stderr)

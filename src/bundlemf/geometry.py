@@ -284,48 +284,38 @@ def spectral_laplacian_plus(P: np.ndarray, V: np.ndarray, grid: TorusGrid) -> np
 
 def spectral_laplacian_plus_terms(P: np.ndarray, terms: tuple, grid: TorusGrid) -> np.ndarray:
     """spectral_laplacian_plus(P, V, grid) without transforms, for a V whose
-    e^{2v} h^2 V is the trigonometric polynomial with the fft2 coefficients
-    `terms`: (l_x, l_y, c) triples with |l_x|, |l_y| < n/2, closed under
-    l -> -l with c(-l) = conj c(l).  n^2 rfft2(e^{2v} h^2 V p) is then the
-    circular convolution sum_l c(l) Q(k - l), Q the fft2 of p (Boyd,
-    Chebyshev and Fourier Spectral Methods, 2nd ed.), read off P: its
-    columns 0 and n/2 projected onto real fields, as irfft2 does, and a
-    k_y < 0 or > n/2 read at -k and conjugated.  The convolution's columns
-    0 and n/2 are projected in turn, as rfft2's output is a real array's:
-    left out, the imaginary part of its (0, 0) entry, roundoff that no
-    term can remove, gave the eigen-solve a null direction it stalled on.
+    e^{2v} h^2 V is a trigonometric polynomial in x alone with the fft2
+    coefficients `terms`: (l_x, c) pairs on the k_y = 0 column, |l_x| < n/2,
+    closed under l_x -> -l_x with c(-l_x) = conj c(l_x).  n^2 rfft2(e^{2v}
+    h^2 V p) is then the circular convolution sum_l c(l) P(k_x - l, k_y)
+    along k_x (Boyd, Chebyshev and Fourier Spectral Methods, 2nd ed.): each
+    term shifts P's rows, and no k_y is ever shifted.  The convolution's
+    columns 0 and n/2 are projected onto real fields, as rfft2's output is
+    a real array's; as the terms are Hermitian, that is the convolution of
+    P's projected columns, which irfft2 would read.  Left out, the imaginary
+    part of its (0, 0) entry, roundoff that no term can remove, gave the
+    eigen-solve a null direction it stalled on.
 
     It runs over blocks of at most n/4 rows and about 2^14 coefficients
-    (256 kB), each copied once with the terms' reach around it, so beside
-    its result it holds a few blocks: at n = 1024 an apply with five terms
-    took 5.8 ms (14 ms in whole-array passes) against 20 ms for the FFT
-    pair, and at n = 128 0.15 ms against 0.2."""
+    (256 kB), each gathered once with the terms' reach of rows around it,
+    then one multiply-add per term, so beside its result it holds a few
+    blocks: at n = 1024 an apply with five terms took 12 ms against 38 ms
+    for the FFT pair, and at n = 128 0.15 ms against 0.25."""
     n, m = P.shape
     S = np.multiply(grid.k2, P)
     if terms:
-        lx_max = max(abs(t[0]) for t in terms)
-        ly_max = max(abs(t[1]) for t in terms)
-        neg = -np.arange(n) % n
-        # Q's columns -ly_max..0 and n/2..n/2+ly_max, 0 and n/2 projected
-        edges = np.concatenate([P[neg, ly_max::-1].conj(),
-                                P[neg, n // 2 - ly_max:][:, ::-1].conj()], axis=1)
-        for j, c in ((ly_max, 0), (ly_max + 1, -1)):
-            edges[:, j] += P[:, c]
-            edges[:, j] *= 0.5
+        reach = max(abs(lx) for lx, _ in terms)
         rows = max(1, min(n // 4, (1 << 14) // m))
-        block = np.empty((rows + 2 * lx_max, m + 2 * ly_max), dtype=complex)
+        block = np.empty((rows + 2 * reach, m), dtype=complex)
         work = np.empty((rows, m), dtype=complex)
         for r0 in range(0, n, rows):
             b = min(rows, n - r0)
-            Q, w = block[: b + 2 * lx_max], work[:b]   # Q[a, ly_max + c] = Q(r0 - lx_max + a, c)
-            around = np.arange(r0 - lx_max, r0 + b + lx_max) % n
-            Q[:, : ly_max + 1] = edges[around, : ly_max + 1]
-            Q[:, ly_max + 1: ly_max + m - 1] = P[around, 1:-1]
-            Q[:, ly_max + m - 1:] = edges[around, ly_max + 1:]
+            Q, w = block[: b + 2 * reach], work[:b]   # Q[a] = P(r0 - reach + a)
+            np.take(P, np.arange(r0 - reach, r0 + b + reach), axis=0, out=Q, mode="wrap")
             Sb = S[r0: r0 + b]
-            for lx, ly, c in terms:
-                Sb += np.multiply(Q[lx_max - lx: lx_max - lx + b, ly_max - ly: ly_max - ly + m],
-                                  c, out=w)
+            for lx, c in terms:
+                Sb += np.multiply(Q[reach - lx: reach - lx + b], c, out=w)
+        neg = -np.arange(n) % n
         for c in (0, -1):
             kp = grid.k2[:, c] * P[:, c]
             conv = S[:, c] - kp
@@ -380,6 +370,19 @@ def spectral_l1(U: np.ndarray) -> float:
     norm is no larger, so the bound holds for any U."""
     a = np.abs(U)
     return float(2.0 * np.sum(a) - np.sum(a[:, 0]) - np.sum(a[:, -1]))
+
+
+def trig_interpolant(u: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of the real n x n array u at the
+    off-grid points (xs[a], ys[b]) of [0, 1)^2: an (len(xs), len(ys)) array,
+    computed separably from one full fft2, so at a node it is u to
+    roundoff."""
+    n = u.shape[0]
+    uh = np.fft.fft2(u) / n**2
+    kx = np.fft.fftfreq(n) * n * 2.0 * np.pi
+    ex = np.exp(1j * np.outer(xs, kx))           # (len(xs), n)
+    ey = np.exp(1j * np.outer(kx, ys))           # (n, len(ys))
+    return np.real(ex @ uh @ ey)
 
 
 def spectral_inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -26,8 +26,8 @@ GreenData.pcg_iterations records the count.  Each step's operator apply
 on every built-in connection and spends no FFT, so a Green solve costs 4
 FFTs on a fresh connection (the right-hand side, the potential, tau1, and
 the way back) and 2 once the connection's spectra are cached; a potential
-without a short spectrum, read from a file, pays one FFT pair per step on
-top.
+read from a file that depends on y or has a long spectrum pays one FFT pair
+per step on top.
 """
 
 from __future__ import annotations

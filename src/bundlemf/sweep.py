@@ -18,7 +18,7 @@ from .functional import (
     log_mass,
     minimize,
 )
-from .geometry import ScalarField, torus_distance
+from .geometry import ScalarField, torus_distance, trig_interpolant
 from .testfunctions import bubble_profile
 
 BLOWUP_HEIGHT = 50.0
@@ -163,20 +163,13 @@ def window_profile(rec: SweepRecord, spec: ProblemSpec, half_width: float = 16.0
     """Sample u around its max by periodic spectral interpolation.
 
     Evaluation is the exact trigonometric interpolant at the scaled window
-    points, computed separably, so phi(0) = 0 holds to roundoff.
+    points (geometry.trig_interpolant), so phi(0) = 0 holds to roundoff.
     """
-    g = spec.grid
-    u = rec.u.values
     y = np.linspace(-half_width, half_width, points)
-    px, py = g.node_coords(rec.x)
+    px, py = spec.grid.node_coords(rec.x)
     xs = (px + rec.r_scale * y) % 1.0
     ys = (py + rec.r_scale * y) % 1.0
-
-    uh = np.fft.fft2(u) / g.n**2
-    kx = np.fft.fftfreq(g.n) * g.n * 2.0 * np.pi
-    ex = np.exp(1j * np.outer(xs, kx))           # (points, n)
-    ey = np.exp(1j * np.outer(kx, ys))           # (n, points)
-    window = np.real(ex @ uh @ ey)
+    window = trig_interpolant(rec.u.values, xs, ys)
 
     phi = window - rec.c
     if abs(rec.c) > 1e-300:
@@ -221,16 +214,14 @@ def blowup_diagnostics(records: list[SweepRecord], spec: ProblemSpec) -> dict:
     blowup = bool(c.max() > BLOWUP_HEIGHT or guard or trend_growth > 1.0)
 
     log_mu = np.log(mu)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = np.where(np.abs(c - log_mu) > 1e-12, log_mu / (c - log_mu), np.nan)
     decay = r_scale**2 * np.exp(SCALE_GAMMA * c)
 
     c0 = float(max(0.0, np.max(energy - 8.4 * np.pi * c)))
     t1 = spec.conn.kernel.tau1
     tau_max = float(np.max(np.abs(t1.values))) if t1 is not None else 0.0
-    area = spec.grid.total_area
-    h = spec.hweight.values
-    lambda_bound = 8.0 * np.pi * (tau_max + area**0.5 / area) * float(h.max() / h.min())
+    lambda_bound = 8.0 * np.pi * (tau_max + spec.grid.total_area**-0.5)
 
     report = {
         "classification": "BLOWUP-CANDIDATE" if blowup else "ATTAINED",

@@ -629,33 +629,44 @@ class TestFourierTermsApply:
     pair of spectral_laplacian_plus otherwise."""
 
     @pytest.mark.parametrize("preset, v, modes", [
-        ("exact:cos-x:0.3", None, {(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0)}),
-        ("exact:cos-x:0.3", "cos-x:0.3", {(0, 0), (1, 0), (-1, 0), (2, 0), (-2, 0)}),
-        ("harmonic:1,0.5", None, {(0, 0)}),
+        ("exact:cos-x:0.3", None, {0, 1, -1, 2, -2}),
+        ("exact:cos-x:0.3", "cos-x:0.3", {0, 1, -1, 2, -2}),
+        ("harmonic:1,0.5", None, {0}),
         ("zero", None, set()),
-        ("diagonal", None, {(0, 0), (1, 1), (-1, -1), (2, 2), (-2, -2)})])
+        pytest.param("diagonal", None, None, id="diagonal-None-modes4"),
+        ("x-only", None, {0, 2, -2, 4, -4})])
     def test_equals_the_fft_apply(self, monkeypatch, tmp_path, preset, v, modes):
-        """To 1e-14 relative and with no FFT, on the grid and on its 5-point
-        twin, on coefficients whose columns 0 and n/2 are not a real field's
-        (irfft2 reads their real fields' part).  `diagonal` is d(0.2 cos 2 pi
-        (x + y)) read from a file, whose terms shift k_y both ways."""
+        """The terms' l_x are `modes`, and the apply equals the FFT pair's to
+        1e-14 relative with no FFT, on the grid and on its 5-point twin, on
+        coefficients whose columns 0 and n/2 are not a real field's
+        (irfft2 reads their real fields' part).  Two connections are read
+        from files: `x-only`, d(0.2 sin 4 pi x), convolves like a built-in
+        one, with terms that are not real, so the shift's direction shows;
+        `diagonal`, d(0.2 cos 2 pi (x + y)), depends on y, has no
+        terms (modes None) and takes the FFT pair, bit for bit."""
         n = 32
         grid = build_grid(n, make_v_field(v, n) if v else None)
-        if preset == "diagonal":
-            c = -0.4 * np.pi * np.sin(2 * np.pi * (axis(n)[:, None] + axis(n)[None, :]))
-            np.save(tmp_path / "w.npy", np.stack([c, c]))
+        x, y = np.meshgrid(axis(n), axis(n), indexing="ij")
+        forms = {"diagonal": [-0.4 * np.pi * np.sin(2 * np.pi * (x + y))] * 2,
+                 "x-only": [0.8 * np.pi * np.cos(4 * np.pi * x), np.zeros_like(x)]}
+        if preset in forms:
+            np.save(tmp_path / "w.npy", np.stack(forms[preset]))
             preset = f"file:{tmp_path / 'w.npy'}"
         conn = make_connection(make_connection_form(preset, grid), grid)
-        assert {t[:2] for t in conn.potential_modes[1]} == modes
+        terms = conn.potential_modes[1]
+        assert (terms if modes is None else {lx for lx, _ in terms}) == modes
         rng = np.random.default_rng(9)
         P = rng.standard_normal((n, n // 2 + 1)) + 1j * rng.standard_normal((n, n // 2 + 1))
         calls = count_fft_calls(monkeypatch)
         for on in (conn, conn.five_point):
             calls.clear()
             got = on.apply(P)
-            assert not calls
+            assert len(calls) == (2 if terms is None else 0)
             want = spectral_laplacian_plus(P, on.potential.values, on.grid)
-            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+            if terms is None:
+                assert np.array_equal(got, want)
+            else:
+                assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_full_spectrum_takes_the_fft_pair(self, monkeypatch, tmp_path):
         """A file: connection of white noise has no short spectrum: its

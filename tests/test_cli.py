@@ -290,6 +290,19 @@ class TestExitCodes:
         assert s["status"] == "error"
         assert "floating-point range" in s["results"]["error"]
 
+    @pytest.mark.parametrize("a", ["700", "-700"])
+    def test_sweep_with_extreme_weight(self, tmp_path, a):
+        """h = e^{+-700 cos 2 pi x} spans about 1e608: the lambda1 bound does
+        not depend on h, so under -W error the sweep exits 0 with a summary
+        and a finite bound."""
+        proc = fresh_python("-W", "error", "-m", "bundlemf.cli", "sweep", "--n", "16",
+                            "--kmax", "4", "--h-preset", f"exp-cos:{a}", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        s = read_summary(tmp_path, "sweep")
+        assert s["status"] == "ok"
+        assert np.isfinite(s["results"]["lambda1_bound"])
+
     def test_unconverged_pcg_writes_diagnostics(self, tmp_path, monkeypatch):
         monkeypatch.setattr(green, "solve_symmetrized",
                             functools.partial(bundle.solve_symmetrized, max_iter=1))

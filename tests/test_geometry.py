@@ -400,17 +400,14 @@ def printed_by(code: str) -> str:
 
 class TestLayering:
     def test_only_geometry_calls_fft(self):
-        """geometry alone knows the rfft2 layout and the Nyquist mask; the one
-        exception is sweep.window_profile, which evaluates the full-FFT
-        trigonometric interpolant at off-grid points."""
-        allowed = {("sweep", "window_profile")}
+        """geometry alone knows the rfft2 layout and the Nyquist mask, and
+        evaluates the trigonometric interpolant at off-grid points."""
         offenders = []
         for path in package_sources():
             if path.stem == "geometry":
                 continue
             for owner, line in fft_uses(ast.parse(path.read_text())):
-                if (path.stem, owner) not in allowed:
-                    offenders.append(f"{path.name}:{line} ({owner})")
+                offenders.append(f"{path.name}:{line} ({owner})")
         assert not offenders, "FFT outside geometry: " + ", ".join(offenders)
 
     def test_fft_uses_finds_each_form(self):
